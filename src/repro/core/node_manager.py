@@ -37,7 +37,7 @@ from repro.core.config import PerfCloudConfig
 from repro.core.cubic import CapState, CubicController
 from repro.core.detector import InterferenceDetector
 from repro.core.identification import AntagonistIdentifier
-from repro.core.monitor import PLANE_METRICS, PerformanceMonitor, VmSample
+from repro.core.monitor import PerformanceMonitor, VmSample
 from repro.core.verdict import ComputeTicket, ControlVerdict, compute_verdict
 from repro.metrics.timeseries import TimeSeries
 from repro.resilience.breaker import GuardedConnection
@@ -108,7 +108,6 @@ class NodeManager:
         fault_injector=None,
         scheduler=None,
         resilience: Optional[ResiliencePolicy] = None,
-        shared_plane: bool = False,
         telemetry=None,
     ) -> None:
         self.sim = sim
@@ -132,13 +131,7 @@ class NodeManager:
         #: Static fallback caps by (vm_name, resource): absolute cap, or
         #: ``None`` once marked for release (cleared by reconciliation).
         self.static_caps: Dict[Tuple[str, str], Optional[float]] = {}
-        plane = None
-        if shared_plane:
-            # Shared-memory rings so pool workers read columns zero-copy.
-            from repro.metrics.plane import SharedMetricPlane
-
-            plane = SharedMetricPlane(PLANE_METRICS, name_tag=host_name)
-        self.monitor = PerformanceMonitor(self.conn, self.config, plane=plane)
+        self.monitor = PerformanceMonitor(self.conn, self.config)
         self.detector = InterferenceDetector(self.config)
         self.identifier = AntagonistIdentifier(self.config)
         #: Cap-control law; Eq. 1 CUBIC unless an alternative is injected
@@ -301,7 +294,6 @@ class NodeManager:
                 i.name for i in low if i.name in self.monitor.history
             ),
             do_identify=bool(low),
-            rows=self.monitor.plane.row_mapping(),
             trace=spans is not None,
         )
         return IntervalContext(now=now, mode=mode, samples=samples, ticket=ticket)

@@ -2,16 +2,20 @@
 
 One pool per :class:`~repro.core.shards.ShardedControlPlane`.  Workers
 are forked from the coordinating parent, inheriting every node manager's
-detector/identifier replicas and the shared-memory metric planes; each
+metric plane and detector/identifier state as plain replicas; each
 coordinator tick feeds them batches of
 :class:`~repro.core.verdict.ComputeTicket` work orders over duplex pipes
 and collects :class:`~repro.core.verdict.ControlVerdict` results.
 
 **Replica lockstep** is the invariant making any tick boundary a valid
 fork point: the parent absorbs every verdict (``detector.record`` +
-``identifier.judge`` with the worker-computed values), so parent state
-equals worker state at the end of every tick — a respawned worker is
-simply a fresh fork and is in sync by construction.
+``identifier.judge`` with the worker-computed values), and every
+pool-bound ticket carries the plane delta and victim-signal tails its
+worker's replicas missed since they last synced — so a replica equals
+the parent wherever a ticket reads it.  The pool keeps, per worker, the
+plane sync mark of every host it holds (set at fork, advanced by the
+coordinator at every shipped ticket); a respawned worker is simply a
+fresh fork with fresh marks, in sync by construction.
 
 **Failure containment** reuses the heartbeat idiom of
 :mod:`repro.resilience.supervisor`: each worker beats a lock-free shared
@@ -53,12 +57,14 @@ WORKER_ENV = "REPRO_SHARD_WORKER"
 class WorkerShard:
     """One host's compute-side state, captured for fork inheritance."""
 
-    __slots__ = ("detector", "identifier", "plane", "history", "config")
+    __slots__ = ("detector", "identifier", "plane", "mark", "history", "config")
 
     def __init__(self, nm) -> None:
         self.detector = nm.detector
         self.identifier = nm.identifier
         self.plane = nm.monitor.plane
+        #: The plane state a worker forked now inherits.
+        self.mark = self.plane.sync_mark()
         self.history = nm.monitor.history
         self.config = nm.config
 
@@ -109,10 +115,6 @@ class WorkerShard:
 def _worker_main(conn, heartbeats, slot: int, shards: Mapping[str, WorkerShard],
                  beat_interval: float) -> None:
     os.environ[WORKER_ENV] = "1"
-    for shard in shards.values():
-        plane = shard.plane
-        if hasattr(plane, "enter_worker_mode"):
-            plane.enter_worker_mode()
     stop = threading.Event()
 
     def beat() -> None:
@@ -131,7 +133,7 @@ def _worker_main(conn, heartbeats, slot: int, shards: Mapping[str, WorkerShard],
             for ticket in tickets:
                 try:
                     shard = shards[ticket.host]
-                    shard.plane.refresh_worker_view(ticket.rows, ticket.epoch)
+                    shard.plane.install(ticket.plane_delta)
                     shard.reconcile_victims(ticket)
                     verdict = compute_verdict(
                         shard.detector, shard.identifier, shard.plane,
@@ -154,12 +156,12 @@ def _worker_main(conn, heartbeats, slot: int, shards: Mapping[str, WorkerShard],
 
 
 class _Slot:
-    __slots__ = ("proc", "conn", "known_hosts")
+    __slots__ = ("proc", "conn", "marks")
 
-    def __init__(self, proc, conn, known_hosts) -> None:
+    def __init__(self, proc, conn, marks) -> None:
         self.proc = proc
         self.conn = conn
-        self.known_hosts = known_hosts
+        self.marks = marks
 
 
 class ShardPool:
@@ -233,13 +235,21 @@ class ShardPool:
             )
             proc.start()
             child_conn.close()
-            self._slots[slot] = _Slot(proc, parent_conn, frozenset(shards))
+            self._slots[slot] = _Slot(
+                proc, parent_conn,
+                {host: shard.mark for host, shard in shards.items()},
+            )
         return True
 
-    def known_hosts(self, slot: int) -> frozenset:
-        """Hosts the worker in ``slot`` inherited at its last (re)spawn."""
+    def marks(self, slot: int) -> Dict[str, tuple]:
+        """Plane sync marks of the hosts the worker in ``slot`` holds.
+
+        Keys are the hosts it inherited at its last (re)spawn; the
+        caller advances a host's mark whenever it ships that host a
+        plane delta.  Empty while the slot has no worker.
+        """
         s = self._slots[slot]
-        return s.known_hosts if s is not None else frozenset()
+        return s.marks if s is not None else {}
 
     def shutdown(self) -> None:
         """Stop every worker; idempotent."""

@@ -20,11 +20,13 @@ With ``workers=N`` the tick becomes a three-phase pipeline over a
 persistent fork pool (:mod:`repro.core.shardpool`):
 
 * **phase A (parent)** — every shard's ``begin_interval``: libvirt
-  sampling into its shared-memory metric plane, inventory snapshot,
-  ticket construction; then each plane publishes the epoch.
-* **phase B (pool)** — workers run the pure compute half (detection +
-  identification) against their fork-inherited replicas, reading plane
-  columns zero-copy, and return compact verdicts.
+  sampling into its metric plane, inventory snapshot, ticket
+  construction.
+* **phase B (pool)** — each pool-bound ticket carries what its worker's
+  replicas missed since their sync mark (plane delta, victim-signal
+  tails); workers install it and run the pure compute half (detection +
+  identification) against their fork-inherited replicas, and return
+  compact verdicts.
 * **phase C (parent)** — verdicts are applied *in attach order*
   (actuation + absorption into the parent replicas), so the merged
   outcome is byte-identical to ``workers=0`` regardless of which worker
@@ -48,16 +50,6 @@ from typing import Dict, Optional
 from repro.sim.engine import Simulator
 
 __all__ = ["ShardedControlPlane"]
-
-#: Lazily-cached :func:`repro.experiments.parallel.run_many` — resolved
-#: once instead of an import-system lookup every control interval
-#: (module-level import would be circular via repro.experiments.harness).
-_run_many = None
-
-
-def _step_shard(nm) -> None:
-    """Advance one host's control chain by one interval."""
-    nm.control_interval()
 
 
 class ShardedControlPlane:
@@ -139,26 +131,21 @@ class ShardedControlPlane:
             if pool is not None:
                 self._tick_parallel(pool)
                 return
-        global _run_many
-        if _run_many is None:
-            from repro.experiments.parallel import run_many as _rm
-
-            _run_many = _rm
         self.timings["serial_ticks"] += 1
-        _run_many(list(self._shards.values()), _step_shard, workers=0)
+        for nm in self._shards.values():
+            nm.control_interval()
 
     def _tick_parallel(self, pool) -> None:
         self._epoch += 1
         epoch = self._epoch
         self.timings["parallel_ticks"] += 1
 
-        # Phase A: sample + snapshot every shard, publish every plane.
+        # Phase A: sample + snapshot every shard.
         t0 = time.perf_counter()
         work = []
         for nm in self._shards.values():
             ctx = nm.begin_interval(epoch)
             if ctx is not None:
-                nm.monitor.plane.publish(epoch)
                 work.append((nm, ctx))
         t1 = time.perf_counter()
 
@@ -167,8 +154,11 @@ class ShardedControlPlane:
         # hosts skip the round-trip entirely (ticket-free ticks) — both
         # fall through to the phase-C serial path, so where a ticket
         # runs never changes what it computes.  Pool-bound tickets carry
-        # victim-signal tails so the worker can close any history gap
-        # the skipped ticks left in its replica.
+        # the plane delta since the worker's sync mark for that host and
+        # victim-signal tails, closing every gap the intervals it never
+        # saw left in its replicas; the mark then advances.  A ticket
+        # the worker fails to take kills the worker, and its respawn
+        # starts from fresh marks.
         assignments: Dict[int, list] = {}
         skipped = 0
         host_slot = {
@@ -177,14 +167,19 @@ class ShardedControlPlane:
         }
         for nm, ctx in work:
             slot = host_slot[nm.host_name]
-            if nm.host_name not in pool.known_hosts(slot):
+            marks = pool.marks(slot)
+            if nm.host_name not in marks:
                 continue
             if self.ticket_free and nm.quiet_interval(ctx):
                 skipped += 1
                 continue
-            assignments.setdefault(slot, []).append(
-                replace(ctx.ticket, victim_tails=nm.victim_tails(ctx.ticket))
-            )
+            plane = nm.monitor.plane
+            assignments.setdefault(slot, []).append(replace(
+                ctx.ticket,
+                plane_delta=plane.delta_since(marks[nm.host_name]),
+                victim_tails=nm.victim_tails(ctx.ticket),
+            ))
+            marks[nm.host_name] = plane.sync_mark()
         results = pool.compute(assignments) if assignments else {}
         t2 = time.perf_counter()
 

@@ -12,10 +12,12 @@ process boundary:
 
 A :class:`ComputeTicket` is the parent's per-(host, epoch) work order: a
 frozen snapshot of the inventory facts the compute half needs (members,
-suspects, plane row mapping).  :func:`compute_verdict` is the single
-code path used by *both* sides — a pool worker runs it against its
-fork-inherited replica, and the parent runs the very same function when
-falling back to serial — so the two can never diverge behaviourally.
+suspects) plus, when pool-bound, what the worker's replicas missed since
+they last synced (plane delta, victim-signal tails).
+:func:`compute_verdict` is the single code path used by *both* sides — a
+pool worker runs it against its fork-inherited replica, and the parent
+runs the very same function when falling back to serial — so the two can
+never diverge behaviourally.
 
 Determinism: tuples preserve the parent's insertion orders, floats cross
 pickle bit-exactly, and the parent replays ``detector.record`` /
@@ -27,7 +29,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
+
+from repro.metrics.plane import PlaneDelta
 
 __all__ = ["ComputeTicket", "AppIdentification", "ControlVerdict",
            "compute_verdict"]
@@ -50,8 +54,9 @@ class ComputeTicket:
     suspects: Tuple[str, ...]
     #: Whether identification runs at all (any low-priority VM present).
     do_identify: bool
-    #: Plane VM → row assignment snapshot (worker view rebuild).
-    rows: Tuple[Tuple[str, int], ...]
+    #: Metric-plane changes since the worker replica's sync mark —
+    #: shipped only on pool-bound tickets (see ``MetricPlane.install``).
+    plane_delta: Optional[PlaneDelta] = None
     #: Victim-signal tails per app — ``(app_id, (io_times, io_values),
     #: (cpi_times, cpi_values))`` — shipped only on pool-bound tickets so
     #: a worker can fill any signal gap left by ticket-free ticks it

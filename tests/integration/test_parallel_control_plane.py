@@ -2,17 +2,23 @@
 
 The property suite (`tests/property/test_shm_plane_equivalence.py`)
 establishes serial == pooled on healthy random worlds; these tests add
-the chaos dimension — a pool worker SIGKILLed mid-run must be respawned
-from the lockstep parent replica and the run must still finish
-byte-identical to serial, with nothing left behind in ``/dev/shm``.
+routing and the chaos dimension.  Ticket-free ticks leave a worker's
+replicas behind, so the next pool-bound ticket must carry a delta
+spanning several intervals; a pool worker SIGKILLed mid-run must be
+respawned from the lockstep parent with fresh sync marks, and the run
+must still finish byte-identical to serial.
 """
 
-import glob
+import copy
 import os
+import pickle
 import signal
 
+import numpy as np
+
+from repro.core.config import PerfCloudConfig
+from repro.core.monitor import PLANE_METRICS
 from repro.experiments.harness import TestbedConfig, build_testbed
-from repro.metrics.shm import shm_dir
 
 
 def _fingerprint(pc) -> tuple:
@@ -29,10 +35,6 @@ def _fingerprint(pc) -> tuple:
             tuple(sorted(nm.survival_summary().items())),
         ))
     return tuple(out)
-
-
-def _repro_shm_segments() -> list:
-    return glob.glob(os.path.join(shm_dir(), "repro-shm-*"))
 
 
 def _build(seed: int = 11):
@@ -80,8 +82,6 @@ def test_ticket_free_ticks_skip_quiet_hosts_and_change_nothing():
 
 
 def test_worker_sigkill_midrun_stays_byte_identical():
-    before = set(_repro_shm_segments())
-
     serial_bed = _build()
     serial_pc = serial_bed.deploy_perfcloud()
     serial_bed.run(240.0)
@@ -116,4 +116,82 @@ def test_worker_sigkill_midrun_stays_byte_identical():
     assert pc.control_plane.timings["fallback_tickets"] == 0
 
     pc.close()
-    assert set(_repro_shm_segments()) <= before
+
+
+class _ReplicaCheckingPool:
+    """Stands in for ``ShardPool`` without processes: a "fork" deep-copies
+    every host's plane, each shipped delta is installed into the copy of
+    the slot it was routed to and checked against the parent's plane,
+    and the ticket is then left to the parent's serial path."""
+
+    workers = 2
+
+    def __init__(self, kill_after: int) -> None:
+        self._slots = {}
+        self.kill_after = kill_after
+        self.forks = 0
+        self.checked = 0
+        self.widest = 0
+
+    def ensure_started(self, shards) -> bool:
+        for slot in range(self.workers):
+            if slot not in self._slots:
+                self.forks += 1
+                self._slots[slot] = (
+                    {h: (s.plane, copy.deepcopy(s.plane))
+                     for h, s in shards.items()},
+                    {h: s.mark for h, s in shards.items()},
+                )
+        return True
+
+    def marks(self, slot: int):
+        return self._slots[slot][1] if slot in self._slots else {}
+
+    def compute(self, assignments):
+        for slot, tickets in assignments.items():
+            planes = self._slots[slot][0]
+            for ticket in tickets:
+                plane, replica = planes[ticket.host]
+                delta = pickle.loads(pickle.dumps(ticket.plane_delta))
+                # Only what the replica missed travels.
+                missed = delta.columns - replica.sync_mark()[1]
+                assert delta.grid.size <= missed
+                replica.install(delta)
+                self.widest = max(self.widest, delta.grid.size)
+                assert replica.version == plane.version
+                assert replica.vms() == plane.vms()
+                for vm in plane.vms():
+                    for m in PLANE_METRICS:
+                        got, want = replica.series(vm, m), plane.series(vm, m)
+                        assert np.array_equal(got.times(), want.times())
+                        assert np.array_equal(got.values(), want.values())
+                        assert got.dropped == want.dropped
+                self.checked += 1
+        if self.checked >= self.kill_after and self.forks == self.workers:
+            del self._slots[0]  # a worker death: respawned at tick end
+        return {}
+
+    def shutdown(self) -> None:
+        pass
+
+
+def test_shipped_deltas_keep_worker_planes_exact():
+    """The coordinator's sync marks: set at fork, advanced per shipped
+    ticket, reset by a respawn — every delta must bring the replica it
+    is routed to exactly level with the parent plane, across ticket-free
+    gaps and retention pruning."""
+    from repro import teragen, terasort
+    from repro.experiments.harness import run_until
+
+    bed = _build(seed=5)
+    pc = bed.deploy_perfcloud(PerfCloudConfig(history_retention_s=30.0),
+                              shard_workers=2)
+    pool = pc.control_plane._pool = _ReplicaCheckingPool(kill_after=5)
+    job = bed.jobtracker.submit(terasort(), teragen(320), num_reducers=4)
+    run_until(bed.sim, lambda: job.completion_time is not None, horizon=2000)
+    bed.run(60.0)
+    pc.close()
+
+    assert pool.checked > pool.kill_after
+    assert pool.forks == pool.workers + 1  # one respawn with fresh marks
+    assert pool.widest > 1  # some delta spanned ticket-free intervals

@@ -1,31 +1,28 @@
-"""Property tests for the shared-memory plane and the parallel tick.
+"""Property tests for plane replicas and the parallel tick.
 
-Three exact-equivalence oracles:
+Two exact-equivalence oracles:
 
-* a :class:`SharedMetricPlane` reader attached through a picklable
-  :class:`PlaneHandle` must answer the whole ``PlaneSeries`` read API
-  identically to an in-process :class:`MetricPlane` fed the same stream
-  — across ring-buffer wrap, column eviction, pruning, VM removal and
-  storage growth (row doubling + generation reallocation);
-* the seqlock read protocol must survive a torn/late epoch: a reader
-  asking for an epoch the writer has not published yet retries until the
-  header carries it, and raises rather than returning a stale view once
-  the retry budget is exhausted;
+* a :class:`MetricPlane` replica copied at a fork point and kept in sync
+  only through pickled :meth:`MetricPlane.delta_since` /
+  :meth:`MetricPlane.install` round-trips must answer the whole read API
+  — ``vms``, ``latest``, every ``PlaneSeries`` read, per-series
+  ``dropped``/``appended`` and ``version`` — identically to the plane it
+  copies, with syncs at arbitrary points so one delta spans several
+  columns, evictions, prunes, removals, row reuse and row growth;
 * a ``shard_workers=2`` deployment must produce byte-identical control
   outcomes (actions, detector signals, survival counters) to the serial
   path across randomized small worlds — the coordinator's merge order,
   not worker scheduling, defines the result.
 """
 
+import copy
+import pickle
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.plane import (
-    _H_EPOCH,
-    MetricPlane,
-    SharedMetricPlane,
-)
+from repro.metrics.plane import MetricPlane
 
 _METRICS = ("m0", "m1")
 _VM_POOL = tuple(f"vm{i}" for i in range(9))
@@ -36,9 +33,10 @@ _values = st.one_of(
 )
 
 #: One interval: per-VM cells (None = VM absent this interval), an
-#: optional prune, and an optional VM removal.  Nine possible VMs over a
-#: plane whose row storage starts smaller forces row-doubling
-#: reallocations; a small capacity forces ring wrap and eviction.
+#: optional prune, an optional VM removal, and whether the replica syncs
+#: afterwards.  Nine possible VMs over a plane whose row storage starts
+#: smaller forces row-doubling reallocations; a small capacity forces
+#: ring wrap and eviction.
 _shm_steps = st.lists(
     st.tuples(
         st.sampled_from([0.25, 5.0]),  # interval length
@@ -46,121 +44,101 @@ _shm_steps = st.lists(
                  min_size=len(_VM_POOL), max_size=len(_VM_POOL)),
         st.booleans(),  # prune_before(t - 10) this interval?
         st.one_of(st.none(), st.sampled_from(_VM_POOL)),  # remove_vm
+        st.booleans(),  # sync the replica after this interval?
     ),
     min_size=1,
     max_size=20,
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(steps=_shm_steps, capacity=st.sampled_from([2, 3, 7, 64]))
-def test_shm_reader_matches_in_process_plane(steps, capacity):
-    """Reattached shm reads == in-process reads, sample for sample."""
-    oracle = MetricPlane(_METRICS, capacity=capacity)
-    writer = SharedMetricPlane(_METRICS, capacity=capacity, name_tag="prop")
-    try:
-        reader = writer.handle().attach()
-        try:
-            t = 0.0
-            for epoch, (dt, cells, do_prune, removal) in enumerate(steps, 1):
-                t += dt
-                columns = {
-                    vm: {m: v for m in _METRICS}
-                    for vm, v in zip(_VM_POOL, cells)
-                    if v is not None
-                }
-                if columns:
-                    oracle.ingest(t, columns)
-                    writer.ingest(t, columns)
-                if do_prune:
-                    oracle.prune_before(t - 10.0)
-                    writer.prune_before(t - 10.0)
-                if removal is not None and removal in writer.vms():
-                    oracle.remove_vm(removal)
-                    writer.remove_vm(removal)
-                writer.publish(epoch)
-                reader.refresh_worker_view(writer.row_mapping(), epoch)
-
-                assert reader.vms() == oracle.vms()
-                for m in _METRICS:
-                    assert (reader.latest(m, _VM_POOL)
-                            == oracle.latest(m, _VM_POOL))
-                for vm in _VM_POOL:
-                    for m in _METRICS:
-                        want = oracle.series(vm, m)
-                        got = reader.series(vm, m)
-                        assert np.array_equal(got.times(), want.times())
-                        assert np.array_equal(got.values(), want.values())
-                        assert got.last_time == want.last_time
-                        assert got.last_value == want.last_value
-                # Worker-mode drop accounting is plane-global: any
-                # per-series eviction must be visible through it (the
-                # fast-path reuse guard in compute_verdict keys off it).
-                assert writer.dropped_total == oracle.dropped_total
-                assert reader.dropped_total == oracle.dropped_total
-        finally:
-            reader.close()
-    finally:
-        writer.close()
+def _sync(source, replica, mark):
+    """Ship ``source``'s changes since ``mark`` the way a ticket does."""
+    delta = pickle.loads(pickle.dumps(source.delta_since(mark)))
+    replica.install(delta)
+    return source.sync_mark(), delta
 
 
-def test_shm_reader_retries_until_epoch_published():
-    """A reader racing the writer's publish sees the new epoch, not a
-    torn older view, and fails loudly when the epoch never lands."""
-    import threading
-
-    writer = SharedMetricPlane(_METRICS, name_tag="torn")
-    try:
-        writer.ingest(5.0, {"vmA": {"m0": 1.0, "m1": 2.0}})
-        writer.publish(1)
-        reader = writer.handle().attach()
-        try:
-            rows = writer.row_mapping()
-            # Epoch 2 is not out yet: a bounded read must give up...
-            try:
-                reader.refresh_worker_view(rows, 2, retries=3)
-            except RuntimeError:
-                pass
-            else:
-                raise AssertionError("stale epoch read did not raise")
-
-            # ...and a slow writer publishing mid-retry must be caught.
-            def late_publish():
-                writer.ingest(10.0, {"vmA": {"m0": 3.0, "m1": 4.0}})
-                writer.publish(2)
-
-            timer = threading.Timer(0.02, late_publish)
-            timer.start()
-            try:
-                reader.refresh_worker_view(rows, 2, retries=200)
-            finally:
-                timer.join()
-            assert reader.series("vmA", "m0").last_value == 3.0
-        finally:
-            reader.close()
-    finally:
-        writer.close()
+def _assert_replica_reads_equal(replica, r_series, source, s_series):
+    assert replica.version == source.version
+    assert replica.vms() == source.vms()
+    assert replica.last_time == source.last_time
+    for m in _METRICS:
+        assert replica.latest(m, _VM_POOL) == source.latest(m, _VM_POOL)
+    for key, want in s_series.items():
+        got = r_series[key]
+        assert np.array_equal(got.times(), want.times())
+        assert np.array_equal(got.values(), want.values())
+        assert len(got) == len(want)
+        assert got.last_time == want.last_time
+        assert got.last_value == want.last_value
+        for a, b in zip(got.tail(3), want.tail(3)):
+            assert np.array_equal(a, b)
+        assert replica.dropped_of(*key) == source.dropped_of(*key)
+        assert got.dropped == want.dropped
+        assert got.appended == want.appended
+        if want.last_time is not None:
+            assert (got.value_at(want.last_time)
+                    == want.value_at(want.last_time))
 
 
-def test_worker_mode_plane_is_read_only():
-    writer = SharedMetricPlane(_METRICS, name_tag="ro")
-    try:
-        reader = writer.handle().attach()
-        try:
-            for call in (
-                lambda: reader.ingest(1.0, {"vmA": {"m0": 1.0}}),
-                lambda: reader.prune_before(0.5),
-                lambda: reader.remove_vm("vmA"),
-            ):
-                try:
-                    call()
-                except RuntimeError:
-                    continue
-                raise AssertionError("worker-mode write did not raise")
-        finally:
-            reader.close()
-    finally:
-        writer.close()
+def _cells(**present):
+    """One interval's cells: ``vmN=value`` for the VMs present."""
+    return [present.get(vm) for vm in _VM_POOL]
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=_shm_steps, capacity=st.sampled_from([2, 3, 7, 64]),
+       fork_at=st.integers(min_value=0, max_value=20))
+# A VM removed and re-registered on its old row between two syncs.
+@example(steps=[(5.0, _cells(vm0=1.0, vm1=2.0), False, None, False),
+                (5.0, _cells(), False, "vm0", False),
+                (5.0, _cells(vm0=3.0), False, None, True)],
+         capacity=64, fork_at=1)
+# Dead ring columns keep stale cells of a freed row; a replica writing
+# new columns there must not resurrect them once the row is reused.
+@example(steps=[(5.0, _cells(vm0=1.0, vm3=-1.0), False, None, False)] * 4
+         + [(5.0, _cells(vm0=1.0, vm3=-1.0), False, "vm0", False),
+            (5.0, _cells(vm3=-1.0), False, None, True),
+            (5.0, _cells(vm1=7.0), False, None, True)],
+         capacity=2, fork_at=5)
+def test_replica_sync_matches_source_plane(steps, capacity, fork_at):
+    """A delta-synced replica reads exactly like its source, sample for
+    sample, whatever the source did between two syncs."""
+    source = MetricPlane(_METRICS, capacity=capacity)
+    # Stable series objects, as the monitor's history hands them out;
+    # the replica inherits copies (and their caches) at the fork.
+    s_series = {(vm, m): source.series(vm, m)
+                for vm in _VM_POOL for m in _METRICS}
+    replica = r_series = mark = None
+    ingests_since_sync = 0
+    t = 0.0
+    for i, (dt, cells, do_prune, removal, sync) in enumerate(steps):
+        if i == fork_at:
+            replica, r_series = copy.deepcopy((source, s_series))
+            mark = source.sync_mark()
+            ingests_since_sync = 0
+        t += dt
+        columns = {
+            vm: {m: v for m in _METRICS}
+            for vm, v in zip(_VM_POOL, cells)
+            if v is not None
+        }
+        if columns:
+            source.ingest(t, columns)
+            ingests_since_sync += 1
+        if do_prune:
+            source.prune_before(t - 10.0)
+        if removal is not None:
+            source.remove_vm(removal)
+        if replica is not None and sync:
+            mark, delta = _sync(source, replica, mark)
+            # The payload is bounded by what the replica missed.
+            assert delta.grid.size <= ingests_since_sync
+            ingests_since_sync = 0
+            _assert_replica_reads_equal(replica, r_series, source, s_series)
+    if replica is not None:
+        _sync(source, replica, mark)
+        _assert_replica_reads_equal(replica, r_series, source, s_series)
 
 
 # ------------------------------------------------------- parallel ticks

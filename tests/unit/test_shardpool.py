@@ -1,4 +1,4 @@
-"""Unit tests: shard pool failure containment + shm segment lifecycle."""
+"""Unit tests: shard pool failure containment and the attach guard."""
 
 import os
 import signal
@@ -10,13 +10,17 @@ import pytest
 from repro.core.shardpool import ShardPool
 from repro.core.shards import ShardedControlPlane
 from repro.core.verdict import ComputeTicket
-from repro.metrics.shm import ShmBlock, shm_dir, sweep_stale_segments
 from repro.sim.engine import Simulator
 
 
 def _ticket(host: str, epoch: int = 1) -> ComputeTicket:
     return ComputeTicket(host=host, epoch=epoch, now=5.0, app_members=(),
-                         suspects=(), do_identify=False, rows=())
+                         suspects=(), do_identify=False)
+
+
+def _shard(plane=None) -> SimpleNamespace:
+    """A worker shard stub; its default plane cannot install a delta."""
+    return SimpleNamespace(plane=plane or SimpleNamespace(), mark=(0, 0))
 
 
 # ------------------------------------------------------------ attach guard
@@ -45,7 +49,7 @@ def test_worker_error_kills_slot_and_pool_fails_past_budget():
     pool = ShardPool(1, max_respawns=1)
     # A shard whose plane cannot satisfy the worker protocol: the first
     # ticket raises inside the worker and aborts the batch.
-    shards = {"h0": SimpleNamespace(plane=SimpleNamespace())}
+    shards = {"h0": _shard()}
     try:
         assert pool.ensure_started(shards)
         assert pool.compute({0: [_ticket("h0")]}) == {}
@@ -67,11 +71,11 @@ def test_worker_error_kills_slot_and_pool_fails_past_budget():
 
 def test_tick_deadline_kills_wedged_worker():
     class _StuckPlane:
-        def refresh_worker_view(self, rows, epoch):
+        def install(self, delta):
             time.sleep(30.0)
 
     pool = ShardPool(1, tick_deadline_s=0.3)
-    shards = {"h0": SimpleNamespace(plane=_StuckPlane())}
+    shards = {"h0": _shard(_StuckPlane())}
     try:
         assert pool.ensure_started(shards)
         t0 = time.monotonic()
@@ -84,7 +88,7 @@ def test_tick_deadline_kills_wedged_worker():
 
 def test_sigkilled_worker_detected_by_dead_pipe():
     pool = ShardPool(1, heartbeat_grace_s=0.2)
-    shards = {"h0": SimpleNamespace(plane=SimpleNamespace())}
+    shards = {"h0": _shard()}
     try:
         assert pool.ensure_started(shards)
         proc = pool._slots[0].proc
@@ -93,101 +97,7 @@ def test_sigkilled_worker_detected_by_dead_pipe():
         assert pool.compute({0: [_ticket("h0")]}) == {}
         assert pool.worker_deaths == 1
         # The replacement fork picks up a fresh membership snapshot.
-        assert pool.ensure_started({"h0": SimpleNamespace(plane=SimpleNamespace()),
-                                    "h1": SimpleNamespace(plane=SimpleNamespace())})
-        assert pool.known_hosts(0) == frozenset({"h0", "h1"})
+        assert pool.ensure_started({"h0": _shard(), "h1": _shard()})
+        assert set(pool.marks(0)) == {"h0", "h1"}
     finally:
         pool.shutdown()
-
-
-# ---------------------------------------------------------- shm lifecycle
-
-def test_shm_block_create_close_unlinks():
-    block = ShmBlock("repro-shm-test-unit", 4096, create=True)
-    path = os.path.join(shm_dir(), "repro-shm-test-unit")
-    try:
-        assert os.path.exists(path)
-        assert block.is_creator
-        block.buf[:4] = b"abcd"
-        block.close()
-        assert not os.path.exists(path)
-        block.close()  # idempotent
-    finally:
-        if os.path.exists(path):
-            os.unlink(path)
-
-
-def test_shm_reader_close_keeps_segment():
-    with ShmBlock("repro-shm-test-rw", 4096, create=True) as writer:
-        path = os.path.join(shm_dir(), "repro-shm-test-rw")
-        reader = ShmBlock("repro-shm-test-rw", 4096, create=False)
-        assert not reader.is_creator
-        reader.close()
-        assert os.path.exists(path)  # only the creator unlinks
-    assert not os.path.exists(path)
-
-
-def _dead_pid() -> int:
-    pid = 99999
-    while True:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return pid
-        except PermissionError:
-            pass
-        pid -= 1
-
-
-def test_sweep_removes_only_dead_creators_segments():
-    directory = shm_dir()
-    dead = os.path.join(directory, f"repro-shm-{_dead_pid()}-0-stale")
-    live = os.path.join(directory, f"repro-shm-{os.getpid()}-0-live")
-    foreign = os.path.join(directory, "unrelated-file")
-    for path in (dead, live, foreign):
-        with open(path, "wb") as fh:
-            fh.write(b"\0" * 16)
-    try:
-        removed = sweep_stale_segments(directory)
-        assert os.path.basename(dead) in [os.path.basename(r) for r in removed]
-        assert not os.path.exists(dead)
-        assert os.path.exists(live)     # creator still alive
-        assert os.path.exists(foreign)  # not ours: never touched
-    finally:
-        for path in (live, foreign, dead):
-            if os.path.exists(path):
-                os.unlink(path)
-
-
-def test_sigkilled_creator_segment_is_swept():
-    """The chaos drill: a run holding shm segments dies uncleanly; the
-    next shared-plane process sweeps its garbage."""
-    import multiprocessing
-
-    from repro.metrics.shm import next_segment_name
-
-    ctx = multiprocessing.get_context("fork")
-    ready_r, ready_w = ctx.Pipe(duplex=False)
-
-    def child(conn):
-        block = ShmBlock(next_segment_name("drill"), 4096, create=True)
-        conn.send(block.name)
-        time.sleep(30.0)
-
-    proc = ctx.Process(target=child, args=(ready_w,), daemon=True)
-    proc.start()
-    ready_w.close()
-    assert ready_r.poll(10.0)
-    name = ready_r.recv()
-    path = os.path.join(shm_dir(), name)
-    try:
-        assert os.path.exists(path)
-        os.kill(proc.pid, signal.SIGKILL)
-        proc.join(timeout=5.0)
-        assert not proc.is_alive()
-        removed = sweep_stale_segments(shm_dir())
-        assert name in removed
-        assert not os.path.exists(path)
-    finally:
-        if os.path.exists(path):
-            os.unlink(path)

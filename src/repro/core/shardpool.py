@@ -17,9 +17,9 @@ plane sync mark of every host it holds (set at fork, advanced by the
 coordinator at every shipped ticket); a respawned worker is simply a
 fresh fork with fresh marks, in sync by construction.
 
-**Failure containment** reuses the heartbeat idiom of
-:mod:`repro.resilience.supervisor`: each worker beats a lock-free shared
-slot from a daemon thread; a stale beat, a dead pipe, a per-tick
+Workers are the heartbeating processes of :mod:`repro.resilience.workers`,
+shared with the run supervisor; this module passes them only the ticket
+handler.  **Failure containment**: a stale beat, a dead pipe, a per-tick
 deadline, or any in-worker exception kills that worker for the tick.
 Its tickets are recomputed serially in the parent (same code path, so
 results are identical), and the pool respawns the slot at the next tick
@@ -35,9 +35,7 @@ regardless of where they were computed.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
+import functools
 import time
 import traceback
 from multiprocessing.connection import wait as connection_wait
@@ -46,12 +44,9 @@ from typing import Dict, List, Mapping, Optional
 from repro.core.monitor import PLANE_METRICS
 from repro.core.verdict import ComputeTicket, ControlVerdict, compute_verdict
 from repro.metrics.timeseries import TimeSeries
+from repro.resilience.workers import Worker, WorkerFactory, stop_workers
 
-__all__ = ["WorkerShard", "ShardPool", "WORKER_ENV"]
-
-#: Set in pool workers (mirrors the supervised-runner convention) so
-#: worker-only behaviour — and chaos faults — can be gated on it.
-WORKER_ENV = "REPRO_SHARD_WORKER"
+__all__ = ["WorkerShard", "ShardPool"]
 
 
 class WorkerShard:
@@ -112,56 +107,28 @@ class WorkerShard:
                         series.append(t, v)
 
 
-def _worker_main(conn, heartbeats, slot: int, shards: Mapping[str, WorkerShard],
-                 beat_interval: float) -> None:
-    os.environ[WORKER_ENV] = "1"
-    stop = threading.Event()
-
-    def beat() -> None:
-        while not stop.is_set():
-            heartbeats[slot] = time.monotonic()
-            stop.wait(beat_interval)
-
-    threading.Thread(target=beat, daemon=True, name=f"shard-beat-{slot}").start()
-    try:
-        while True:
-            msg = conn.recv()
-            if msg[0] == "stop":
-                break
-            _, tickets = msg
-            out: List[tuple] = []
-            for ticket in tickets:
-                try:
-                    shard = shards[ticket.host]
-                    shard.plane.install(ticket.plane_delta)
-                    shard.reconcile_victims(ticket)
-                    verdict = compute_verdict(
-                        shard.detector, shard.identifier, shard.plane,
-                        ticket, {}, shard.series_of, shard.config,
-                    )
-                    out.append(("ok", ticket.host, verdict))
-                except BaseException as exc:  # noqa: BLE001 - forwarded
-                    # The replica may be half-mutated: report and stop.
-                    # The parent kills this worker and recomputes the
-                    # rest of the batch serially.
-                    out.append(("err", ticket.host,
-                                f"{type(exc).__name__}: {exc}",
-                                traceback.format_exc()))
-                    break
-            conn.send(("done", out))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass
-    finally:
-        stop.set()
-
-
-class _Slot:
-    __slots__ = ("proc", "conn", "marks")
-
-    def __init__(self, proc, conn, marks) -> None:
-        self.proc = proc
-        self.conn = conn
-        self.marks = marks
+def _compute_batch(shards: Mapping[str, WorkerShard], message) -> List[tuple]:
+    """Worker handler: one tick's tickets → ``[("ok", host, verdict)]``."""
+    _, tickets = message
+    out: List[tuple] = []
+    for ticket in tickets:
+        try:
+            shard = shards[ticket.host]
+            shard.plane.install(ticket.plane_delta)
+            shard.reconcile_victims(ticket)
+            verdict = compute_verdict(
+                shard.detector, shard.identifier, shard.plane,
+                ticket, {}, shard.series_of, shard.config,
+            )
+            out.append(("ok", ticket.host, verdict))
+        except BaseException as exc:  # noqa: BLE001 - forwarded
+            # The replica may be half-mutated: report and stop.  The
+            # parent kills this worker and recomputes the rest of the
+            # batch serially.
+            out.append(("err", ticket.host, f"{type(exc).__name__}: {exc}",
+                        traceback.format_exc()))
+            break
+    return out
 
 
 class ShardPool:
@@ -179,26 +146,20 @@ class ShardPool:
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers!r}")
         self.workers = int(workers)
-        self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_grace_s = heartbeat_grace_s
         self.tick_deadline_s = tick_deadline_s
         self.max_respawns = max_respawns
-        self.failed = False
         #: Workers killed (stale heartbeat, dead pipe, error, deadline).
         self.worker_deaths = 0
         #: Workers forked to replace a dead one.
         self.respawns = 0
         #: Tickets recomputed serially in the parent.
         self.fallback_tickets = 0
-        self._slots: List[Optional[_Slot]] = [None] * self.workers
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            self._ctx = None
-            self.failed = True
-            self._beats = None
-        else:
-            self._beats = self._ctx.Array("d", self.workers, lock=False)
+        self._slots: List[Optional[Worker]] = [None] * self.workers
+        self._marks: List[Dict[str, tuple]] = [{} for _ in self._slots]
+        self._factory = WorkerFactory(self.workers, heartbeat_interval_s)
+        # Replicas are inherited at fork; without fork there are none.
+        self.failed = not self._factory.forks
 
     # -------------------------------------------------------------- lifecycle
     def ensure_started(self, shards: Mapping[str, WorkerShard]) -> bool:
@@ -210,35 +171,24 @@ class ShardPool:
         """
         if self.failed:
             return False
-        for slot in range(self.workers):
-            s = self._slots[slot]
-            if s is not None and not s.proc.is_alive():
+        for slot, worker in enumerate(self._slots):
+            if worker is not None and not worker.proc.is_alive():
                 # A worker can die while receiving no tickets (ticket-free
                 # ticks route quiet hosts parent-side); notice the corpse
                 # here instead of waiting for the next failed send.
                 self._kill(slot)
-                s = None
-            if s is not None:
+                worker = None
+            if worker is not None:
                 continue
             if self.respawns > self.max_respawns:
                 self.failed = True
                 self.shutdown()
                 return False
-            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-            self._beats[slot] = time.monotonic()
-            proc = self._ctx.Process(
-                target=_worker_main,
-                args=(child_conn, self._beats, slot, dict(shards),
-                      self.heartbeat_interval_s),
-                name=f"shard-worker-{slot}",
-                daemon=True,
+            self._slots[slot] = self._factory.spawn(
+                slot, functools.partial(_compute_batch, dict(shards))
             )
-            proc.start()
-            child_conn.close()
-            self._slots[slot] = _Slot(
-                proc, parent_conn,
-                {host: shard.mark for host, shard in shards.items()},
-            )
+            self._marks[slot] = {host: shard.mark
+                                 for host, shard in shards.items()}
         return True
 
     def marks(self, slot: int) -> Dict[str, tuple]:
@@ -248,40 +198,20 @@ class ShardPool:
         caller advances a host's mark whenever it ships that host a
         plane delta.  Empty while the slot has no worker.
         """
-        s = self._slots[slot]
-        return s.marks if s is not None else {}
+        return self._marks[slot]
 
     def shutdown(self) -> None:
         """Stop every worker; idempotent."""
-        for slot in range(self.workers):
-            s = self._slots[slot]
-            if s is None:
-                continue
-            self._slots[slot] = None
-            try:
-                s.conn.send(("stop",))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-            s.conn.close()
-            s.proc.join(timeout=2.0)
-            if s.proc.is_alive():  # pragma: no cover - wedged worker
-                s.proc.kill()
-                s.proc.join(timeout=2.0)
+        stop_workers(w for w in self._slots if w is not None)
+        self._slots = [None] * self.workers
+        self._marks = [{} for _ in self._slots]
 
     def _kill(self, slot: int) -> None:
-        s = self._slots[slot]
-        if s is None:
-            return
+        self._slots[slot].kill()
         self._slots[slot] = None
+        self._marks[slot] = {}
         self.worker_deaths += 1
         self.respawns += 1  # the replacement fork, charged up front
-        try:
-            s.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        if s.proc.is_alive():
-            s.proc.kill()
-        s.proc.join(timeout=2.0)
 
     # ----------------------------------------------------------------- ticks
     def compute(
@@ -295,15 +225,15 @@ class ShardPool:
         results: Dict[str, ControlVerdict] = {}
         pending: Dict[object, int] = {}
         for slot, tickets in assignments.items():
-            s = self._slots[slot]
-            if s is None or not tickets:
+            worker = self._slots[slot]
+            if worker is None or not tickets:
                 continue
             try:
-                s.conn.send(("tick", tickets))
+                worker.conn.send(("tick", tickets))
             except (OSError, BrokenPipeError):
                 self._kill(slot)
                 continue
-            pending[s.conn] = slot
+            pending[worker.conn] = slot
         deadline = time.monotonic() + self.tick_deadline_s
         while pending:
             now = time.monotonic()
@@ -313,7 +243,7 @@ class ShardPool:
                     0.05, deadline - now)):
                 slot = pending.pop(conn)
                 try:
-                    _, out = conn.recv()
+                    out = conn.recv()
                 except (EOFError, OSError):
                     self._kill(slot)
                     continue
@@ -325,9 +255,10 @@ class ShardPool:
                         bad = True
                 if bad:
                     self._kill(slot)
-            stale = time.monotonic() - self.heartbeat_grace_s
+            now = time.monotonic()
             for conn, slot in list(pending.items()):
-                if self._beats[slot] < stale:
+                if (self._factory.silence(self._slots[slot], now)
+                        > self.heartbeat_grace_s):
                     del pending[conn]
                     self._kill(slot)
         for conn, slot in pending.items():  # tick deadline blown

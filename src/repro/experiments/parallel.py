@@ -1,43 +1,57 @@
 """Deterministic fan-out of independent experiment runs.
 
 :func:`run_many` dispatches a list of task descriptions to a runner
-callable, optionally across a :class:`~concurrent.futures.ProcessPoolExecutor`
-and optionally backed by a :class:`~repro.experiments.cache.ResultCache`.
-Three properties make it safe to drop under any existing serial loop:
+callable, in-process or across forked worker processes, optionally
+backed by a :class:`~repro.experiments.cache.ResultCache`.  Every task
+runs on one engine, the supervisor's scheduler
+(:mod:`repro.resilience.supervisor`); a
+:class:`~repro.resilience.supervisor.SupervisorPolicy` chooses what a
+failure costs.  The default policy,
+:data:`~repro.resilience.supervisor.STRICT`, gives these guarantees:
 
 * **Order preservation** — results come back in submission order, so a
   caller that aggregates sequentially produces output byte-identical to
   the serial path regardless of completion order.
-* **In-process fallback** — ``workers=0`` runs everything in the calling
-  process with no executor at all: tests and debuggers see ordinary
-  stack traces and module-level counters keep working.
-* **Crash surfacing** — an exception inside a worker (including a hard
-  pool breakage) is re-raised in the parent as :class:`WorkerError`
-  carrying the task index, description and the **formatted child
-  traceback**, never swallowed.
+* **In-process execution** — ``workers=0`` runs everything in the
+  calling process with no worker processes at all: tests and debuggers
+  see ordinary stack traces and module-level counters keep working.
+* **Crash surfacing** — the first exception inside a runner is re-raised
+  in the parent as :class:`WorkerError` carrying the task index,
+  description, the runner's exception as ``__cause__`` and the
+  **formatted child traceback**, never swallowed.  A worker that dies
+  raises a :class:`WorkerError` naming its task too.
+* **Frozen-worker detection** — every worker heartbeats; one that stops
+  beating for the policy's grace period (``SIGSTOP``, a wedged
+  interpreter) raises :class:`WorkerError` instead of hanging the run.
+  No task deadline applies, so a long task is never killed.
 
-Tasks and the runner must be picklable when ``workers > 0``; frozen
-dataclasses defined at module scope plus a module-level runner function
-are the intended shape.
+Tasks and results must be picklable when ``workers > 0`` (they cross
+the worker pipes); the runner is inherited by the forked workers.
+Frozen dataclasses defined at module scope plus a module-level runner
+function are the intended shape.
 
 For execution that must *survive* wedged, killed or crashing workers —
-per-task timeouts, heartbeats, retries, speculative re-dispatch and
-partial-result salvage — see
-:func:`repro.resilience.supervisor.run_many_supervised`, which returns
-the same :class:`RunReport` with its per-task :class:`TaskOutcome`
-records filled in.
+per-task timeouts, retries, speculative re-dispatch and partial-result
+salvage — pass a richer ``policy``; the returned :class:`RunReport`
+carries per-task :class:`TaskOutcome` records and the supervision
+counters either way.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
-import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.experiments.cache import ResultCache, task_key
+from repro.resilience.supervisor import (
+    STRICT,
+    SupervisorPolicy,
+    SupervisorStats,
+    TaskOutcome,
+    WorkerError,
+    _Supervisor,
+)
 
 __all__ = [
     "Progress",
@@ -48,16 +62,14 @@ __all__ = [
     "run_many_report",
 ]
 
-_MISSING = object()
-
 
 @dataclass(frozen=True)
 class Progress:
     """Snapshot of a :func:`run_many` invocation, passed to ``progress``.
 
     ``done`` counts resolved tasks (executed or cache hits); ``executed``
-    counts tasks actually dispatched to the runner — a warm-cache re-run
-    finishes with ``executed == 0``.
+    counts tasks dispatched to the runner — a warm-cache re-run finishes
+    with ``executed == 0``.
     """
 
     done: int
@@ -65,45 +77,6 @@ class Progress:
     executed: int
     cached: int
     elapsed: float
-
-
-@dataclass(frozen=True)
-class TaskOutcome:
-    """How one task of a run resolved.
-
-    ``status`` is one of:
-
-    ``"cached"``
-        Served from the result cache without executing.
-    ``"ok"``
-        Executed successfully on the first attempt.
-    ``"retried"``
-        Executed successfully, but only after at least one failed
-        attempt (supervised runs only).
-    ``"timed_out"``
-        Every attempt exceeded its wall-clock deadline (or its worker
-        wedged); no result (supervised, salvaging runs only).
-    ``"failed"``
-        Every attempt raised (or its worker died); no result
-        (supervised, salvaging runs only).
-    """
-
-    index: int
-    status: str
-    #: Attempts dispatched (0 for a cache hit; >1 means retries and/or
-    #: speculative duplicates).
-    attempts: int = 1
-    #: Wall-clock seconds from first dispatch to resolution.
-    elapsed: float = 0.0
-    #: Formatted traceback / reason of the *last* failed attempt.
-    error: Optional[str] = None
-    #: A speculative duplicate was dispatched for this task (straggler).
-    speculated: bool = False
-
-    @property
-    def ok(self) -> bool:
-        """Whether this task produced a result."""
-        return self.status in ("cached", "ok", "retried")
 
 
 @dataclass
@@ -115,14 +88,14 @@ class RunReport:
     cached: int
     elapsed: float
     #: Per-task resolution records, in submission order.
-    outcomes: List[TaskOutcome] = field(default_factory=list)
-    #: Supervision statistics (populated by supervised runs only).
-    supervisor: Optional[Any] = None
+    outcomes: List[TaskOutcome]
+    #: What supervision had to do (all zero on a clean run).
+    supervisor: SupervisorStats
 
     @property
     def ok(self) -> bool:
         """Every task produced a result (no salvaged holes)."""
-        return all(o.ok for o in self.outcomes) if self.outcomes else True
+        return all(o.ok for o in self.outcomes)
 
     @property
     def salvaged(self) -> int:
@@ -130,76 +103,47 @@ class RunReport:
         return sum(1 for o in self.outcomes if not o.ok)
 
 
-class WorkerError(RuntimeError):
-    """A task's runner raised (or its worker process died).
-
-    Carries ``index`` (position in the submitted task list) and ``task``
-    so sweep failures name the exact grid point; the original exception
-    is chained as ``__cause__`` and ``child_traceback`` holds the
-    formatted traceback text captured *inside* the worker process — the
-    parent-side stack of a pool future ends at the pickling boundary,
-    so without it a crash would only be debuggable by re-running
-    serially.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        task: Any,
-        cause: BaseException,
-        child_traceback: Optional[str] = None,
-    ) -> None:
-        message = (
-            f"task {index} ({task!r}) failed: {type(cause).__name__}: {cause}"
-        )
-        if child_traceback:
-            message += f"\n--- worker traceback ---\n{child_traceback.rstrip()}"
-        super().__init__(message)
-        self.index = index
-        self.task = task
-        self.child_traceback = child_traceback
-
-
-def _traced(runner: Callable[[Any], Any], task: Any):
-    """Run ``runner(task)`` in a worker, capturing the traceback text.
-
-    Returns ``("ok", value)`` or ``("err", traceback_text, exc)`` — the
-    exception travels back as a pickled *value* so the parent can chain
-    it, while the formatted traceback (which pickling would lose)
-    travels beside it as plain text.
-    """
-    try:
-        value = runner(task)
-    except Exception as exc:
-        text = traceback.format_exc()
-        try:
-            pickle.dumps(exc)
-        except Exception:
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        return ("err", text, exc)
-    return ("ok", value)
-
-
 def run_many(
+    tasks: Sequence[Any],
+    runner: Callable[[Any], Any],
+    **kwargs,
+) -> List[Any]:
+    """Run ``runner(task)`` for every task; results in submission order.
+
+    Results-only façade over :func:`run_many_report`, which documents
+    the keyword arguments.
+    """
+    return run_many_report(tasks, runner, **kwargs).results
+
+
+def run_many_report(
     tasks: Sequence[Any],
     runner: Callable[[Any], Any],
     *,
     workers: int = 0,
+    policy: Optional[SupervisorPolicy] = None,
     cache: Optional[ResultCache] = None,
     key_fn: Optional[Callable[[Any], str]] = None,
     progress: Optional[Callable[[Progress], None]] = None,
     checkpoint=None,
-) -> List[Any]:
-    """Run ``runner(task)`` for every task; results in submission order.
+) -> RunReport:
+    """Run every task; results plus run/hit counts, outcomes and stats.
 
     Parameters
     ----------
     workers:
         ``0`` — run in-process, serially (the debug/test path).
-        ``N > 0`` — dispatch across a process pool of ``N`` workers.
+        ``N > 0`` — dispatch across ``N`` forked worker processes.
+    policy:
+        How much supervision the run gets; defaults to
+        :data:`~repro.resilience.supervisor.STRICT` (the first failure
+        raises :class:`WorkerError`).  A salvaging policy resolves
+        exhausted tasks to ``None`` placeholders instead — check
+        ``report.ok``.  With ``workers=0`` retries and salvage still
+        apply, but no timeout can be enforced.
     cache:
         Optional result store.  Hits skip execution entirely; misses are
-        stored after the runner returns.
+        stored as each task succeeds.
     key_fn:
         Task → cache-key function; defaults to
         :func:`repro.experiments.cache.task_key` (stable hash of the
@@ -211,27 +155,10 @@ def run_many(
         completed task's cache key is recorded so a killed run can be
         resumed (requires ``cache`` so resumed tasks can replay).
     """
-    return run_many_report(
-        tasks, runner, workers=workers, cache=cache, key_fn=key_fn,
-        progress=progress, checkpoint=checkpoint,
-    ).results
-
-
-def run_many_report(
-    tasks: Sequence[Any],
-    runner: Callable[[Any], Any],
-    *,
-    workers: int = 0,
-    cache: Optional[ResultCache] = None,
-    key_fn: Optional[Callable[[Any], str]] = None,
-    progress: Optional[Callable[[Progress], None]] = None,
-    checkpoint=None,
-) -> RunReport:
-    """:func:`run_many` plus a :class:`RunReport` with run/hit counts."""
     tasks = list(tasks)
     total = len(tasks)
     start = time.perf_counter()
-    results: List[Any] = [_MISSING] * total
+    results: List[Any] = [None] * total
     outcomes: List[Optional[TaskOutcome]] = [None] * total
     keys: List[Optional[str]] = [None] * total
 
@@ -248,8 +175,8 @@ def run_many_report(
                 if checkpoint is not None:
                     checkpoint.record(keys[i])
 
-    pending = [i for i in range(total) if results[i] is _MISSING]
-    executed = 0
+    pending = [i for i in range(total) if outcomes[i] is None]
+    executed = len(pending)
     done = cached
 
     def emit() -> None:
@@ -259,61 +186,26 @@ def run_many_report(
                 elapsed=time.perf_counter() - start,
             ))
 
-    def settle(i: int, value: Any, t0: float) -> None:
+    def settle(i: int, value: Any, outcome: TaskOutcome) -> None:
+        nonlocal done
         results[i] = value
-        outcomes[i] = TaskOutcome(
-            index=i, status="ok", elapsed=time.perf_counter() - t0,
-        )
-        if cache is not None:
-            cache.put(keys[i], value)
-        if checkpoint is not None:
-            checkpoint.record(keys[i])
+        outcomes[i] = outcome
+        if outcome.ok:
+            if cache is not None:
+                cache.put(keys[i], value)
+            if checkpoint is not None:
+                checkpoint.record(keys[i])
+        done += 1
+        emit()
 
     emit()
-
-    if workers > 0 and pending:
-        executed = len(pending)
-        t0 = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_traced, runner, tasks[i]) for i in pending]
-            # Drive progress by completion order, then merge by
-            # submission order below — reporting is live, output is
-            # deterministic.
-            remaining = set(futures)
-            while remaining:
-                finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                done += len(finished)
-                emit()
-            for i, future in zip(pending, futures):
-                try:
-                    envelope = future.result()
-                except Exception as exc:
-                    # The pool itself broke (worker killed, unpicklable
-                    # task, ...): no child traceback survives that.
-                    raise WorkerError(i, tasks[i], exc) from exc
-                if envelope[0] == "err":
-                    _, text, exc = envelope
-                    raise WorkerError(i, tasks[i], exc, text) from exc
-                settle(i, envelope[1], t0)
-    else:
-        for i in pending:
-            t0 = time.perf_counter()
-            try:
-                value = runner(tasks[i])
-            except Exception as exc:
-                raise WorkerError(
-                    i, tasks[i], exc, traceback.format_exc()
-                ) from exc
-            executed += 1
-            settle(i, value, t0)
-            done += 1
-            emit()
-
+    stats = SupervisorStats()
+    if pending:
+        _Supervisor(
+            tasks, runner, pending, workers, policy or STRICT, settle, stats,
+        ).run()
     return RunReport(
         results=results, executed=executed, cached=cached,
-        elapsed=time.perf_counter() - start,
-        outcomes=[o for o in outcomes if o is not None]
-        if all(o is not None for o in outcomes) else
-        [o if o is not None else TaskOutcome(index=i, status="ok")
-         for i, o in enumerate(outcomes)],
+        elapsed=time.perf_counter() - start, outcomes=outcomes,
+        supervisor=stats,
     )

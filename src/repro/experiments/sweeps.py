@@ -22,6 +22,7 @@ from repro.core.cubic import CubicController
 from repro.experiments.cache import ResultCache
 from repro.experiments.harness import TestbedConfig, build_testbed, run_until
 from repro.experiments.parallel import Progress, run_many_report
+from repro.resilience.supervisor import SupervisorPolicy
 from repro.workloads.datagen import teragen
 from repro.workloads.puma import terasort
 
@@ -136,8 +137,9 @@ def closed_loop_sweep(
     memoizes per-point results on disk, and the merged output is
     identical to the serial path whatever the completion order.
 
-    ``supervise=True`` swaps in the supervised pool (timeouts, retries,
-    respawn — see :mod:`repro.resilience.supervisor`); ``resume`` names
+    ``supervise=True`` runs under the default
+    :class:`~repro.resilience.supervisor.SupervisorPolicy` (timeouts,
+    retries, respawn) instead of the strict one; ``resume`` names
     a checkpoint-manifest path so a killed sweep re-invoked with the
     same grid re-executes zero finished points (requires ``cache_dir``).
     Passing a dict as ``stats`` fills it with run accounting
@@ -161,17 +163,11 @@ def closed_loop_sweep(
         checkpoint = Checkpoint(
             resume, run_id=stable_hash({"sweep": tasks}), total=len(tasks),
         )
-    if supervise:
-        from repro.resilience.supervisor import run_many_supervised_report
-        report = run_many_supervised_report(
-            tasks, run_closed_loop_point, workers=workers, cache=cache,
-            progress=progress, checkpoint=checkpoint,
-        )
-    else:
-        report = run_many_report(
-            tasks, run_closed_loop_point, workers=workers, cache=cache,
-            progress=progress, checkpoint=checkpoint,
-        )
+    report = run_many_report(
+        tasks, run_closed_loop_point, workers=workers,
+        policy=SupervisorPolicy() if supervise else None, cache=cache,
+        progress=progress, checkpoint=checkpoint,
+    )
     outcomes = report.results
     if stats is not None:
         stats["executed"] = report.executed

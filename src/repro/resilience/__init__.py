@@ -1,11 +1,14 @@
 """Resilience subsystem: supervised execution, checkpoints, breakers.
 
-Three layers, each usable on its own:
+Layers, each usable on its own:
 
-* :mod:`repro.resilience.supervisor` — a supervised process pool
-  (timeouts, heartbeats, retries, respawn, speculation, salvage) that
-  is byte-identical to :func:`repro.experiments.parallel.run_many`
-  when nothing fails;
+* :mod:`repro.resilience.workers` — forked, heartbeating worker
+  processes: the one spawn site, shared by the run supervisor and the
+  shard pool (:mod:`repro.core.shardpool`);
+* :mod:`repro.resilience.supervisor` — the scheduler every
+  :func:`repro.experiments.parallel.run_many` runs on; a policy adds
+  timeouts, retries, respawn, speculation and salvage, and fault-free
+  results are byte-identical under every policy;
 * :mod:`repro.resilience.checkpoint` — append-only manifests of
   completed task keys so killed sweeps/corpus runs resume without
   re-executing finished work;
@@ -17,10 +20,11 @@ Three layers, each usable on its own:
   above by killing, freezing and corrupting the harness itself.
 
 Only the breaker/ladder layer is imported eagerly: the control plane
-(:mod:`repro.core.node_manager`) depends on it, while the supervisor
-and chaos layers depend back on :mod:`repro.experiments` — importing
-them here at module load would close an import cycle, so they resolve
-lazily on first attribute access.
+(:mod:`repro.core.node_manager`) depends on it.  The chaos layer
+depends back on :mod:`repro.experiments` — importing it here at module
+load would close an import cycle — and the process layers are not
+needed by a plain simulation, so they resolve lazily on first
+attribute access.
 """
 
 import importlib
@@ -61,17 +65,13 @@ __all__ = [
     "WORKER_ENV",
     "default_harness_plan",
     "run_harness_chaos",
-    "run_many_supervised",
-    "run_many_supervised_report",
 ]
 
 _LAZY = {
     "Checkpoint": "repro.resilience.checkpoint",
     "SupervisorPolicy": "repro.resilience.supervisor",
     "SupervisorStats": "repro.resilience.supervisor",
-    "WORKER_ENV": "repro.resilience.supervisor",
-    "run_many_supervised": "repro.resilience.supervisor",
-    "run_many_supervised_report": "repro.resilience.supervisor",
+    "WORKER_ENV": "repro.resilience.workers",
     "HarnessChaosPlan": "repro.resilience.harness_chaos",
     "HarnessChaosResult": "repro.resilience.harness_chaos",
     "default_harness_plan": "repro.resilience.harness_chaos",

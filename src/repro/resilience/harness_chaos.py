@@ -12,8 +12,8 @@ Faults are delivered through a *marker-file* protocol so the task
 runner keeps the plain ``runner(task)`` shape: the first attempt of a
 targeted task creates its marker and then misbehaves; the retry sees
 the marker and runs normally.  Every fault only fires when
-:data:`~repro.resilience.supervisor.WORKER_ENV` is set — i.e. inside a
-supervised worker process — so a task that falls through to the
+:data:`~repro.resilience.workers.WORKER_ENV` is set — i.e. inside a
+worker process — so a task that falls through to the
 serial-fallback rung (or the clean reference run) can never SIGKILL
 the parent.
 
@@ -39,11 +39,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.cache import ResultCache, stable_hash, task_key
 from repro.experiments.parallel import RunReport, run_many_report
-from repro.resilience.supervisor import (
-    WORKER_ENV,
-    SupervisorPolicy,
-    run_many_supervised_report,
-)
+from repro.resilience.supervisor import SupervisorPolicy
+from repro.resilience.workers import WORKER_ENV
 
 __all__ = [
     "ChaosTask",
@@ -245,7 +242,7 @@ def run_harness_chaos(
         # Phase 2: supervised run under fire.
         cache_root = cache_dir or str(Path(tmp) / "cache")
         cache = ResultCache(cache_root)
-        chaos_report = run_many_supervised_report(
+        chaos_report = run_many_report(
             tasks, runner, workers=workers, policy=policy,
             cache=cache, key_fn=chaos_task_key,
         )
@@ -259,7 +256,7 @@ def run_harness_chaos(
         if plan.corrupt:
             for i in plan.corrupt:
                 cache.corrupt(chaos_task_key(tasks[i]))
-            rerun_report = run_many_supervised_report(
+            rerun_report = run_many_report(
                 tasks, runner, workers=workers, policy=policy,
                 cache=cache, key_fn=chaos_task_key,
             )

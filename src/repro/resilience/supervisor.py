@@ -1,18 +1,22 @@
-"""Supervised process-pool execution that survives worker failure.
+"""The run-fan-out engine: a supervised pool that survives worker failure.
 
-:func:`run_many_supervised_report` is a drop-in variant of
-:func:`repro.experiments.parallel.run_many_report` for runs that must
-*finish* even when individual workers crash, wedge or straggle.  Where
-the plain engine hands tasks to a :class:`ProcessPoolExecutor` and
-re-raises the first failure, the supervisor owns its worker processes
-directly and layers on:
+:func:`repro.experiments.parallel.run_many_report` runs every task
+through :class:`_Supervisor`; a :class:`SupervisorPolicy` chooses how
+much supervision a run gets.  The default, :data:`STRICT`, gives the
+plain semantics — no retries, no speculation, no salvage, no task
+deadline: the first failure raises :class:`WorkerError`, and a
+long-running task is never killed.  It keeps heartbeats on, so a frozen
+worker raises instead of hanging the run.  Callers that must *finish*
+even when workers crash, wedge or straggle pass a richer policy, which
+layers on:
 
 * **per-task wall-clock timeouts** — a dispatch that exceeds its budget
   gets its worker killed and the task rescheduled;
 * **worker heartbeats** — each worker beats a shared monotonic-clock
-  slot from a daemon thread; a silent worker (e.g. ``SIGSTOP``-frozen,
-  where the pipe stays open so no EOF ever arrives) is detected and
-  killed even though its task deadline may be far away;
+  slot from a daemon thread (:mod:`repro.resilience.workers`); a silent
+  worker (e.g. ``SIGSTOP``-frozen, where the pipe stays open so no EOF
+  ever arrives) is detected and killed even though its task deadline
+  may be far away;
 * **bounded retries with seeded backoff** — failed attempts reschedule
   up to ``max_retries`` times with exponentially-growing, seeded-jitter
   delays;
@@ -22,59 +26,116 @@ directly and layers on:
   completed tasks gets a duplicate dispatched to an idle worker (the
   harness-level analogue of the paper's LATE straggler baseline);
   whichever attempt finishes first wins;
-* **partial-result salvage** — with ``salvage=True`` (default) a task
-  that exhausts every attempt resolves to a ``None`` placeholder with a
+* **partial-result salvage** — with ``salvage=True`` a task that
+  exhausts every attempt resolves to a ``None`` placeholder with a
   ``timed_out``/``failed`` outcome instead of aborting the whole run;
 * **serial fallback** — if the pool dies faster than the respawn budget
   can replace it, the remaining tasks run in-process (the last rung:
   no timeout enforcement, but guaranteed progress).
 
-Fault-free supervised execution produces results byte-identical to
-:func:`run_many` — same values, same submission-order merge; the
-supervisor only *adds* the per-task :class:`TaskOutcome` records and a
-:class:`SupervisorStats` block to the report.
-
-Workers are dedicated processes connected by per-worker duplex pipes —
-deliberately **not** a shared ``multiprocessing.Queue``: SIGKILLing a
-worker that holds a shared queue's read lock would deadlock every other
-consumer, which is exactly the failure mode this module exists to
-survive.  Killing a pipe's worker only ever breaks that pipe.
+Fault-free runs produce byte-identical results under every policy —
+same values, same submission-order merge; the policy only changes what
+a failure costs.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
+import functools
+import math
+import pickle
 import random
 import statistics
-import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.experiments.cache import ResultCache, task_key
-from repro.experiments.parallel import (
-    Progress,
-    RunReport,
-    TaskOutcome,
-    WorkerError,
-    _traced,
+from repro.resilience.workers import (
+    WORKER_ENV,
+    Worker,
+    WorkerFactory,
+    stop_workers,
 )
 
 __all__ = [
+    "STRICT",
     "SupervisorPolicy",
     "SupervisorStats",
-    "run_many_supervised",
-    "run_many_supervised_report",
+    "TaskOutcome",
+    "WORKER_ENV",
+    "WorkerError",
 ]
 
-#: Set (to ``"1"``) in the environment of every supervised worker
-#: process.  Chaos wrappers key off it so a fault that SIGKILLs "the
-#: worker" can never fire in the parent — in particular not when the
-#: serial-fallback rung runs remaining tasks in-process.
-WORKER_ENV = "REPRO_SUPERVISED_WORKER"
+
+@dataclass(frozen=True)
+class TaskOutcome:
+    """How one task of a run resolved.
+
+    ``status`` is one of:
+
+    ``"cached"``
+        Served from the result cache without executing.
+    ``"ok"``
+        Executed successfully on the first attempt.
+    ``"retried"``
+        Executed successfully, but only after at least one failed
+        attempt (policies with retries only).
+    ``"timed_out"``
+        Every attempt exceeded its wall-clock deadline (or its worker
+        wedged); no result (salvaging policies only).
+    ``"failed"``
+        Every attempt raised (or its worker died); no result
+        (salvaging policies only).
+    """
+
+    index: int
+    status: str
+    #: Attempts dispatched (0 for a cache hit; >1 means retries and/or
+    #: speculative duplicates).
+    attempts: int = 1
+    #: Wall-clock seconds from first dispatch to resolution.
+    elapsed: float = 0.0
+    #: Formatted traceback / reason of the *last* failed attempt.
+    error: Optional[str] = None
+    #: A speculative duplicate was dispatched for this task (straggler).
+    speculated: bool = False
+
+    @property
+    def ok(self) -> bool:
+        """Whether this task produced a result."""
+        return self.status in ("cached", "ok", "retried")
+
+
+class WorkerError(RuntimeError):
+    """A task's runner raised (or its worker process died or froze).
+
+    Carries ``index`` (position in the submitted task list) and ``task``
+    so sweep failures name the exact grid point; the last attempt's
+    exception is chained as ``__cause__`` and ``child_traceback`` holds
+    the formatted traceback text captured *inside* the worker process —
+    the exception itself crosses the pipe without its frames, so without
+    it a crash would only be debuggable by re-running serially.  A
+    worker that died or froze ran nothing to completion, so it carries
+    no traceback.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        task: Any,
+        cause: BaseException,
+        child_traceback: Optional[str] = None,
+    ) -> None:
+        message = (
+            f"task {index} ({task!r}) failed: {type(cause).__name__}: {cause}"
+        )
+        if child_traceback:
+            message += f"\n--- worker traceback ---\n{child_traceback.rstrip()}"
+        super().__init__(message)
+        self.index = index
+        self.task = task
+        self.child_traceback = child_traceback
 
 
 @dataclass(frozen=True)
@@ -112,6 +173,14 @@ class SupervisorPolicy:
     poll_interval_s: float = 0.02
 
 
+#: The plain engine: the first failure (a raise, a worker death, a
+#: frozen worker) raises :class:`WorkerError`, and no deadline ever
+#: kills a long task.
+STRICT = SupervisorPolicy(
+    task_timeout_s=math.inf, max_retries=0, speculate=False, salvage=False,
+)
+
+
 @dataclass
 class SupervisorStats:
     """What supervision had to do during one run (all zero ⇒ clean run)."""
@@ -144,34 +213,24 @@ class SupervisorStats:
 # Worker side
 
 
-def _worker_main(conn, heartbeats, slot: int, interval: float) -> None:
-    """Worker process body: beat the heartbeat, run tasks off the pipe.
+def _traced(runner: Callable[[Any], Any], message: Tuple[str, Any]):
+    """Worker handler: run ``runner(task)``, capturing the traceback text.
 
-    The heartbeat runs on a daemon thread so it keeps beating while the
-    runner blocks in C code or sleeps; only process-wide freezes
-    (``SIGSTOP``, a GIL-holding spin, death) silence it — which is
-    precisely the signal the parent wants.
+    Returns ``("ok", value)`` or ``("err", traceback_text, exc)`` — the
+    exception travels back as a pickled *value* so the parent can chain
+    it, while the formatted traceback (which pickling would lose)
+    travels beside it as plain text.
     """
-    os.environ[WORKER_ENV] = "1"
-    stop = threading.Event()
-
-    def beat() -> None:
-        while not stop.is_set():
-            heartbeats[slot] = time.monotonic()
-            stop.wait(interval)
-
-    threading.Thread(target=beat, daemon=True).start()
     try:
-        while True:
-            message = conn.recv()
-            if message[0] == "stop":
-                break
-            _, index, runner, task = message
-            conn.send(("done", index, _traced(runner, task)))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass
-    finally:
-        stop.set()
+        value = runner(message[1])
+    except Exception as exc:
+        text = traceback.format_exc()
+        try:
+            pickle.dumps(exc)
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        return ("err", text, exc)
+    return ("ok", value)
 
 
 # ----------------------------------------------------------------------
@@ -183,32 +242,24 @@ class _Task:
 
     __slots__ = (
         "index", "dispatches", "failures", "active", "eligible_at",
-        "first_dispatch", "speculated", "resolved", "last_error",
-        "last_kind",
+        "first_dispatch", "speculated", "resolved", "last_kind",
+        "last_exc", "last_traceback",
     )
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.dispatches = 0          # attempts sent (incl. speculative)
         self.failures = 0            # attempts that failed
-        self.active: Set[int] = set()  # worker ids running it right now
+        self.active: Set[int] = set()  # worker slots running it right now
         self.eligible_at = 0.0       # earliest re-dispatch time (backoff)
         self.first_dispatch: Optional[float] = None
         self.speculated = False
         self.resolved = False
-        self.last_error: Optional[str] = None
         self.last_kind = "failed"    # "failed" | "timed_out"
-
-
-class _Worker:
-    __slots__ = ("wid", "proc", "conn", "slot", "task")
-
-    def __init__(self, wid: int, proc, conn, slot: int) -> None:
-        self.wid = wid
-        self.proc = proc
-        self.conn = conn
-        self.slot = slot
-        self.task: Optional[int] = None  # task index, or None when idle
+        #: The last failed attempt's exception, and the traceback text
+        #: formatted where it was raised (None for a lost worker).
+        self.last_exc: Optional[BaseException] = None
+        self.last_traceback: Optional[str] = None
 
 
 class _Supervisor:
@@ -232,137 +283,92 @@ class _Supervisor:
         self.unresolved: Set[int] = set(pending)
         self.durations: List[float] = []
         self.rng = random.Random(policy.seed)
-        self.fatal: Optional[Tuple[int, BaseException, Optional[str]]] = None
-
-        # fork keeps startup cheap on Linux; heartbeats + pipes are
-        # inherited either way.  One heartbeat slot per worker ever
-        # spawned, preallocated for the full respawn budget.
-        try:
-            self.ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            self.ctx = multiprocessing.get_context()
+        # One heartbeat slot per worker ever spawned, preallocated for
+        # the full respawn budget.
         self.slots = workers + policy.max_respawns
-        self.heartbeats = self.ctx.Array("d", self.slots, lock=False)
+        self.factory: Optional[WorkerFactory] = None
         self.spawned = 0
-        self.pool: List[_Worker] = []
-        self.by_conn: Dict[Any, _Worker] = {}
+        #: Live workers by their pipe end.
+        self.pool: Dict[Any, Worker] = {}
+        #: Busy workers: slot → (task index, dispatch time).
+        self.running: Dict[int, Tuple[int, float]] = {}
 
     # -- worker lifecycle ------------------------------------------------
 
-    def _spawn(self) -> Optional[_Worker]:
+    def _spawn(self) -> bool:
         if self.spawned >= self.slots:
-            return None
-        slot = self.spawned
-        parent_conn, child_conn = self.ctx.Pipe(duplex=True)
-        self.heartbeats[slot] = time.monotonic()
-        proc = self.ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self.heartbeats, slot,
-                  self.policy.heartbeat_interval_s),
-            daemon=True,
+            return False
+        worker = self.factory.spawn(
+            self.spawned, functools.partial(_traced, self.runner)
         )
-        proc.start()
-        child_conn.close()
-        worker = _Worker(self.spawned, proc, parent_conn, slot)
         self.spawned += 1
-        self.pool.append(worker)
-        self.by_conn[parent_conn] = worker
-        return worker
+        self.pool[worker.conn] = worker
+        return True
 
-    def _remove(self, worker: _Worker) -> None:
-        self.pool.remove(worker)
-        self.by_conn.pop(worker.conn, None)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-
-    def _kill(self, worker: _Worker) -> None:
-        self._remove(worker)
-        try:
-            worker.proc.kill()
-        except (OSError, AttributeError):  # pragma: no cover
-            pass
-        worker.proc.join(timeout=5.0)
-
-    def _respawn_budget(self) -> int:
-        return self.slots - self.spawned
+    def _lose(self, worker: Worker, kind: str, reason: str) -> None:
+        """Kill ``worker``; the task it was running takes a failed attempt."""
+        del self.pool[worker.conn]
+        worker.kill()
+        state = self._release(worker)
+        if state is not None:
+            self._attempt_failed(state, kind, RuntimeError(reason))
 
     # -- attempt resolution ----------------------------------------------
 
-    def _attempt_failed(self, worker: _Worker, kind: str,
-                        error: Optional[str]) -> None:
-        index = worker.task
-        worker.task = None
+    def _release(self, worker: Worker) -> Optional[_Task]:
+        """Mark ``worker`` idle; the state of its task if still unresolved."""
+        index, _ = self.running.pop(worker.slot, (None, None))
         if index is None:
-            return
+            return None
         state = self.states[index]
-        state.active.discard(worker.wid)
-        if state.resolved:
-            return  # a speculative sibling already won; nothing to do
+        state.active.discard(worker.slot)
+        return None if state.resolved else state
+
+    def _backoff(self, state: _Task) -> float:
+        backoff = min(
+            self.policy.backoff_max_s,
+            self.policy.backoff_base_s * (2 ** (state.failures - 1)),
+        )
+        # Seeded jitter in [0.5, 1.0]× so simultaneous retries from one
+        # failure burst don't re-dispatch in lockstep.
+        return backoff * (0.5 + 0.5 * self.rng.random())
+
+    def _attempt_failed(self, state: _Task, kind: str, exc: BaseException,
+                        text: Optional[str] = None) -> None:
         state.failures += 1
-        state.last_error = error
         state.last_kind = kind
+        state.last_exc = exc
+        state.last_traceback = text
         if state.active:
             return  # a sibling attempt is still running — let it race
         if state.failures <= self.policy.max_retries:
-            backoff = min(
-                self.policy.backoff_max_s,
-                self.policy.backoff_base_s * (2 ** (state.failures - 1)),
-            )
-            # Seeded jitter in [0.5, 1.0]× so simultaneous retries from
-            # one failure burst don't re-dispatch in lockstep.
-            state.eligible_at = (
-                time.monotonic() + backoff * (0.5 + 0.5 * self.rng.random())
-            )
+            state.eligible_at = time.monotonic() + self._backoff(state)
             self.stats.retries += 1
             return
-        self._exhausted(state)
-
-    def _exhausted(self, state: _Task) -> None:
-        if self.policy.salvage:
-            self.stats.salvaged += 1
-            self.settle(state.index, None, TaskOutcome(
-                index=state.index, status=state.last_kind,
-                attempts=state.dispatches,
-                elapsed=(time.monotonic() - state.first_dispatch
-                         if state.first_dispatch else 0.0),
-                error=state.last_error, speculated=state.speculated,
-            ))
-            state.resolved = True
-            self.unresolved.discard(state.index)
-        else:
-            cause: BaseException = RuntimeError(
-                state.last_error or state.last_kind
-            )
-            self.fatal = (state.index, cause, state.last_error)
-
-    def _attempt_done(self, worker: _Worker, index: int,
-                      envelope: Tuple) -> None:
-        state = self.states[index]
-        state.active.discard(worker.wid)
-        worker.task = None
-        if state.resolved:
-            if envelope[0] == "ok":
-                # The speculative loser also succeeded; result discarded.
-                pass
-            return
-        if envelope[0] == "err":
-            _, text, exc = envelope
-            worker.task = index  # restore for the shared failure path
-            self._attempt_failed(worker, "failed", text)
-            return
-        if state.speculated and state.active:
-            self.stats.speculative_wins += 1
-        duration = time.monotonic() - (state.first_dispatch or 0.0)
-        self.durations.append(duration)
-        status = "retried" if state.failures else "ok"
-        self.settle(index, envelope[1], TaskOutcome(
-            index=index, status=status, attempts=state.dispatches,
-            elapsed=duration, speculated=state.speculated,
+        if not self.policy.salvage:
+            raise WorkerError(
+                state.index, self.tasks[state.index], state.last_exc,
+                state.last_traceback,
+            ) from state.last_exc
+        self.stats.salvaged += 1
+        self._resolve(state, None, TaskOutcome(
+            index=state.index, status=kind, attempts=state.dispatches,
+            elapsed=(time.monotonic() - state.first_dispatch
+                     if state.first_dispatch else 0.0),
+            error=text or str(exc), speculated=state.speculated,
         ))
+
+    def _succeeded(self, state: _Task, value: Any, elapsed: float) -> None:
+        self._resolve(state, value, TaskOutcome(
+            index=state.index, status="retried" if state.failures else "ok",
+            attempts=state.dispatches, elapsed=elapsed,
+            speculated=state.speculated,
+        ))
+
+    def _resolve(self, state: _Task, value: Any, outcome: TaskOutcome) -> None:
+        self.settle(state.index, value, outcome)
         state.resolved = True
-        self.unresolved.discard(index)
+        self.unresolved.discard(state.index)
 
     # -- scheduling ------------------------------------------------------
 
@@ -373,7 +379,7 @@ class _Supervisor:
             if not self.states[i].active and self.states[i].eligible_at <= now
         )
 
-    def _dispatch(self, worker: _Worker, index: int, now: float,
+    def _dispatch(self, worker: Worker, index: int, now: float,
                   speculative: bool = False) -> None:
         state = self.states[index]
         state.dispatches += 1
@@ -382,22 +388,18 @@ class _Supervisor:
         if speculative:
             state.speculated = True
             self.stats.speculative += 1
-        state.active.add(worker.wid)
-        worker.task = index
+        state.active.add(worker.slot)
+        self.running[worker.slot] = (index, now)
         try:
-            worker.conn.send(("task", index, self.runner, self.tasks[index]))
-        except (OSError, BrokenPipeError, ValueError):
-            # The worker died between polls; treat as a worker death and
-            # let the normal retry path reschedule the task.
+            worker.conn.send(("task", self.tasks[index]))
+        except (OSError, ValueError):
+            # The worker died between polls; the normal retry path
+            # reschedules the task.
             self.stats.worker_deaths += 1
-            self._remove(worker)
-            worker.proc.join(timeout=5.0)
-            self._attempt_failed(worker, "failed", "worker process died")
-            return
-        self.dispatch_times[worker.wid] = now
+            self._lose(worker, "failed", "worker process died")
 
     def _fill_idle(self, now: float) -> None:
-        idle = [w for w in self.pool if w.task is None]
+        idle = [w for w in self.pool.values() if w.slot not in self.running]
         if not idle:
             return
         for index in self._runnable(now):
@@ -426,96 +428,79 @@ class _Supervisor:
     # -- failure detection -----------------------------------------------
 
     def _reap(self, now: float) -> None:
-        for worker in list(self.pool):
-            stale = now - self.heartbeats[worker.slot]
-            busy = worker.task is not None
-            timed_out = (
-                busy
-                and now - self.dispatch_times.get(worker.wid, now)
-                > self.policy.task_timeout_s
-            )
-            wedged = stale > self.policy.heartbeat_grace_s
-            if not timed_out and not wedged:
-                continue
-            if timed_out:
+        for worker in list(self.pool.values()):
+            _, started = self.running.get(worker.slot, (None, now))
+            if now - started > self.policy.task_timeout_s:
                 self.stats.timeouts += 1
-            else:
+                self._lose(worker, "timed_out", "task deadline exceeded")
+            elif (self.factory.silence(worker, now)
+                  > self.policy.heartbeat_grace_s):
                 self.stats.heartbeat_kills += 1
-            self._kill(worker)
-            if busy:
-                self._attempt_failed(
-                    worker, "timed_out",
-                    "task deadline exceeded" if timed_out
-                    else "worker heartbeat lost",
-                )
+                self._lose(worker, "timed_out", "worker heartbeat lost")
 
-    def _drain(self, conn) -> None:
-        worker = self.by_conn.get(conn)
-        if worker is None:
-            return
+    def _drain(self, worker: Worker) -> None:
         try:
-            message = conn.recv()
+            envelope = worker.conn.recv()
         except (EOFError, OSError):
             # Worker died (crash or external SIGKILL): pipe broke.
             self.stats.worker_deaths += 1
-            self._remove(worker)
-            worker.proc.join(timeout=5.0)
-            if worker.task is not None:
-                self._attempt_failed(worker, "failed", "worker process died")
+            self._lose(worker, "failed", "worker process died")
             return
-        if message[0] == "done":
-            self._attempt_done(worker, message[1], message[2])
+        state = self._release(worker)
+        if state is None:
+            return  # a speculative sibling already won; result discarded
+        if envelope[0] == "err":
+            _, text, exc = envelope
+            self._attempt_failed(state, "failed", exc, text)
+            return
+        if state.speculated and state.active:
+            self.stats.speculative_wins += 1
+        duration = time.monotonic() - state.first_dispatch
+        self.durations.append(duration)
+        self._succeeded(state, envelope[1], duration)
 
     # -- main loop -------------------------------------------------------
 
     def run(self) -> None:
-        self.dispatch_times: Dict[int, float] = {}
+        """Resolve every pending task (``workers=0``: in-process)."""
+        if self.target_workers > 0:
+            self._run_pool()
+            if not self.unresolved:
+                return
+            self.stats.serial_fallback = True
+        self._serial_rung()
+
+    def _run_pool(self) -> None:
+        self.factory = WorkerFactory(
+            self.slots, self.policy.heartbeat_interval_s
+        )
         try:
             for _ in range(min(self.target_workers, len(self.unresolved))):
                 self._spawn()
-            while self.unresolved and self.fatal is None:
+            while self.unresolved:
                 now = time.monotonic()
                 self._reap(now)
                 # Keep the pool at strength while the respawn budget and
                 # useful work both remain.
-                while (
-                    len(self.pool) < min(self.target_workers,
-                                         len(self.unresolved))
-                    and self._respawn_budget() > 0
-                ):
-                    if self._spawn() is None:
-                        break
+                while (len(self.pool) < min(self.target_workers,
+                                            len(self.unresolved))
+                       and self._spawn()):
                     self.stats.respawns += 1
                 if not self.pool:
                     break  # pool is dead beyond respawn → fallback rung
                 self._fill_idle(now)
                 ready = connection_wait(
-                    [w.conn for w in self.pool],
-                    timeout=self.policy.poll_interval_s,
+                    list(self.pool), timeout=self.policy.poll_interval_s,
                 )
                 for conn in ready:
-                    self._drain(conn)
+                    self._drain(self.pool[conn])
         finally:
-            self._shutdown()
-        if self.fatal is not None:
-            index, cause, text = self.fatal
-            raise WorkerError(index, self.tasks[index], cause, text) from cause
-        if self.unresolved:
-            self._serial_rung()
-
-    def _shutdown(self) -> None:
-        for worker in list(self.pool):
-            if worker.task is None:
-                try:
-                    worker.conn.send(("stop",))
-                except (OSError, BrokenPipeError):
-                    pass
-        for worker in list(self.pool):
-            worker.proc.join(timeout=1.0)
-            if worker.proc.is_alive():
-                worker.proc.kill()
-                worker.proc.join(timeout=5.0)
-            self._remove(worker)
+            workers = list(self.pool.values())
+            self.pool.clear()
+            for worker in workers:
+                if worker.slot in self.running:
+                    worker.kill()
+            stop_workers(w for w in workers if w.slot not in self.running)
 
     def _serial_rung(self) -> None:
         """Last rung: finish remaining tasks in-process.
@@ -524,151 +509,20 @@ class _Supervisor:
         kill), but progress is guaranteed and chaos kill-wrappers stay
         inert because :data:`WORKER_ENV` is unset in the parent.
         """
-        self.stats.serial_fallback = True
         for index in sorted(self.unresolved):
             state = self.states[index]
-            while True:
+            while not state.resolved:
                 state.dispatches += 1
                 if state.first_dispatch is None:
                     state.first_dispatch = time.monotonic()
                 try:
                     value = self.runner(self.tasks[index])
-                except Exception:
-                    state.failures += 1
-                    state.last_error = traceback.format_exc()
-                    state.last_kind = "failed"
-                    if state.failures <= self.policy.max_retries:
-                        self.stats.retries += 1
-                        backoff = min(
-                            self.policy.backoff_max_s,
-                            self.policy.backoff_base_s
-                            * (2 ** (state.failures - 1)),
-                        )
-                        time.sleep(backoff * (0.5 + 0.5 * self.rng.random()))
-                        continue
-                    self._exhausted(state)
-                    if self.fatal is not None:
-                        index_, cause, text = self.fatal
-                        raise WorkerError(
-                            index_, self.tasks[index_], cause, text
-                        ) from cause
-                    break
-                status = "retried" if state.failures else "ok"
-                self.settle(index, value, TaskOutcome(
-                    index=index, status=status, attempts=state.dispatches,
-                    elapsed=time.monotonic() - state.first_dispatch,
-                    speculated=state.speculated,
-                ))
-                state.resolved = True
-                self.unresolved.discard(index)
-                break
-
-
-# ----------------------------------------------------------------------
-# Entry points
-
-
-def run_many_supervised_report(
-    tasks: Sequence[Any],
-    runner: Callable[[Any], Any],
-    *,
-    workers: int = 0,
-    policy: Optional[SupervisorPolicy] = None,
-    cache: Optional[ResultCache] = None,
-    key_fn: Optional[Callable[[Any], str]] = None,
-    progress: Optional[Callable[[Progress], None]] = None,
-    checkpoint=None,
-) -> RunReport:
-    """Supervised :func:`run_many_report`: survives worker failure.
-
-    Same contract and arguments as the plain engine plus ``policy``;
-    the returned :class:`RunReport` additionally carries per-task
-    :class:`TaskOutcome` records, a :class:`SupervisorStats` block in
-    ``report.supervisor``, and — when salvage engaged — ``None``
-    placeholders at the salvaged indices (check ``report.ok``).
-
-    With ``workers=0`` the tasks run in-process with retry/salvage
-    semantics but no timeout enforcement (identical to the pool path's
-    serial-fallback rung).
-    """
-    policy = policy or SupervisorPolicy()
-    tasks = list(tasks)
-    total = len(tasks)
-    start = time.perf_counter()
-    results: List[Any] = [None] * total
-    outcomes: List[Optional[TaskOutcome]] = [None] * total
-    keys: List[Optional[str]] = [None] * total
-    stats = SupervisorStats()
-
-    cached = 0
-    if cache is not None:
-        make_key = key_fn or task_key
-        for i, task in enumerate(tasks):
-            keys[i] = make_key(task)
-            hit, value = cache.get(keys[i])
-            if hit:
-                results[i] = value
-                outcomes[i] = TaskOutcome(index=i, status="cached", attempts=0)
-                cached += 1
-                if checkpoint is not None:
-                    checkpoint.record(keys[i])
-
-    pending = [i for i in range(total) if outcomes[i] is None]
-    executed = len(pending)
-    done = cached
-
-    def emit() -> None:
-        if progress is not None:
-            progress(Progress(
-                done=done, total=total, executed=executed, cached=cached,
-                elapsed=time.perf_counter() - start,
-            ))
-
-    def settle(i: int, value: Any, outcome: TaskOutcome) -> None:
-        nonlocal done
-        results[i] = value
-        outcomes[i] = outcome
-        if outcome.ok:
-            if cache is not None:
-                cache.put(keys[i], value)
-            if checkpoint is not None:
-                checkpoint.record(keys[i])
-        done += 1
-        emit()
-
-    emit()
-
-    if pending:
-        if workers > 0:
-            supervisor = _Supervisor(
-                tasks, runner, pending, workers, policy, settle, stats,
-            )
-            supervisor.run()
-        else:
-            # In-process supervision: reuse the serial rung directly so
-            # the two code paths cannot drift.
-            supervisor = _Supervisor(
-                tasks, runner, pending, 0, policy, settle, stats,
-            )
-            supervisor.dispatch_times = {}
-            supervisor._serial_rung()
-            stats.serial_fallback = False  # it was the requested mode
-
-    return RunReport(
-        results=results, executed=executed, cached=cached,
-        elapsed=time.perf_counter() - start,
-        outcomes=[
-            o if o is not None else TaskOutcome(index=i, status="failed")
-            for i, o in enumerate(outcomes)
-        ],
-        supervisor=stats,
-    )
-
-
-def run_many_supervised(
-    tasks: Sequence[Any],
-    runner: Callable[[Any], Any],
-    **kwargs,
-) -> List[Any]:
-    """Results-only façade over :func:`run_many_supervised_report`."""
-    return run_many_supervised_report(tasks, runner, **kwargs).results
+                except Exception as exc:
+                    self._attempt_failed(
+                        state, "failed", exc, traceback.format_exc()
+                    )
+                    time.sleep(max(0.0, state.eligible_at - time.monotonic()))
+                    continue
+                self._succeeded(
+                    state, value, time.monotonic() - state.first_dispatch
+                )

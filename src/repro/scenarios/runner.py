@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.experiments.cache import ResultCache, code_version
 from repro.experiments.parallel import Progress, run_many_report
 from repro.experiments.report import render_table
+from repro.resilience.supervisor import SupervisorPolicy
 from repro.scenarios.loader import corpus_digest
 from repro.scenarios.scorer import ScenarioScore, checks_to_jsonable, score_scenario
 from repro.scenarios.spec import ScenarioSpec, WorldDef, scenario_hash
@@ -225,9 +226,10 @@ def run_corpus(
     Results come back in scenario order regardless of ``workers``, so
     the matrix is byte-identical serial vs parallel at equal seeds.
 
-    ``supervise=True`` routes execution through the supervised pool
-    (per-task timeouts, retries, worker respawn — see
-    :mod:`repro.resilience.supervisor`); a supervised task that
+    ``supervise=True`` runs under the default
+    :class:`~repro.resilience.supervisor.SupervisorPolicy` (per-task
+    timeouts, retries, worker respawn) instead of the strict one; a
+    supervised task that
     exhausts every attempt scores as a failed scenario with a
     ``task salvaged`` reason instead of aborting the corpus.  ``resume``
     names a checkpoint-manifest path: completed task keys are recorded
@@ -268,18 +270,11 @@ def run_corpus(
 
     runner = (run_scenario_task if shard_workers == 0 else
               partial(run_scenario_task, shard_workers=shard_workers))
-    if supervise:
-        from repro.resilience.supervisor import run_many_supervised_report
-
-        report = run_many_supervised_report(
-            tasks, runner, workers=workers,
-            cache=cache, progress=progress, checkpoint=checkpoint,
-        )
-    else:
-        report = run_many_report(
-            tasks, runner, workers=workers,
-            cache=cache, progress=progress, checkpoint=checkpoint,
-        )
+    report = run_many_report(
+        tasks, runner, workers=workers,
+        policy=SupervisorPolicy() if supervise else None,
+        cache=cache, progress=progress, checkpoint=checkpoint,
+    )
     if checkpoint is not None:
         checkpoint.close()
 

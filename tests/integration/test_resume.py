@@ -27,8 +27,8 @@ _CHILD = """
 import sys, time
 from pathlib import Path
 from repro.experiments.cache import ResultCache
-from repro.resilience import Checkpoint
-from repro.resilience.supervisor import run_many_supervised_report
+from repro.experiments.parallel import run_many_report
+from repro.resilience import Checkpoint, SupervisorPolicy
 
 base = Path(sys.argv[1])
 
@@ -38,8 +38,9 @@ def runner(x):
 
 cache = ResultCache(base / "cache")
 with Checkpoint(base / "manifest", run_id="kill-test", total=40) as cp:
-    run_many_supervised_report(
-        list(range(40)), runner, workers=0, cache=cache, checkpoint=cp,
+    run_many_report(
+        list(range(40)), runner, workers=0, policy=SupervisorPolicy(),
+        cache=cache, checkpoint=cp,
     )
 """
 
@@ -81,14 +82,16 @@ def test_sigkilled_run_resumes_without_reexecuting_finished_tasks(tmp_path):
         executed_log.append(x)
         return x * x
 
-    from repro.resilience.supervisor import run_many_supervised_report
+    from repro.experiments.parallel import run_many_report
+    from repro.resilience import SupervisorPolicy
 
     cache = ResultCache(tmp_path / "cache")
     with Checkpoint(tmp_path / "manifest", run_id="kill-test",
                     total=40) as cp:
         resumed = len(cp)
-        report = run_many_supervised_report(
-            list(range(40)), runner, workers=0, cache=cache, checkpoint=cp,
+        report = run_many_report(
+            list(range(40)), runner, workers=0, policy=SupervisorPolicy(),
+            cache=cache, checkpoint=cp,
         )
         assert len(cp) == 40
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from repro.experiments.parallel import (
     run_many_report,
 )
 from repro.experiments import sweeps
+from repro.resilience.workers import WORKER_ENV
 
 
 # Runners must live at module scope so worker processes can unpickle them.
@@ -34,6 +36,12 @@ def _boom_on_three(task):
 
 def _kill_self(task):
     os._exit(13)  # hard crash: the pool loses the worker entirely
+
+
+def _freeze_on_one(task):
+    if task == 1 and os.environ.get(WORKER_ENV):
+        os.kill(os.getpid(), signal.SIGSTOP)  # silences the heartbeat too
+    return task
 
 
 # ------------------------------------------------------------------ ordering
@@ -84,6 +92,20 @@ def test_runner_exception_surfaces_as_worker_error(workers):
 def test_dead_worker_process_surfaces_as_worker_error():
     with pytest.raises(WorkerError):
         run_many([1], _kill_self, workers=1)
+
+
+@pytest.mark.timeout(60)
+def test_frozen_worker_raises_after_heartbeat_grace():
+    """A SIGSTOPped worker keeps its pipe open, so no EOF ever arrives;
+    only its silent heartbeat can end the run — with an error naming
+    the frozen task, not a hang."""
+    t0 = time.monotonic()
+    with pytest.raises(WorkerError) as exc_info:
+        run_many([0, 1, 2, 3], _freeze_on_one, workers=2)
+    assert exc_info.value.index == 1
+    assert exc_info.value.child_traceback is None
+    assert "heartbeat" in str(exc_info.value)
+    assert time.monotonic() - t0 < 30.0
 
 
 # ------------------------------------------------------------------ progress

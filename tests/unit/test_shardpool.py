@@ -1,5 +1,7 @@
-"""Unit tests: shard pool failure containment and the attach guard."""
+"""Unit tests: shard pool failure containment, the attach guard and the
+lifetime of the worker processes it shares with the run supervisor."""
 
+import multiprocessing
 import os
 import signal
 import time
@@ -10,6 +12,7 @@ import pytest
 from repro.core.shardpool import ShardPool
 from repro.core.shards import ShardedControlPlane
 from repro.core.verdict import ComputeTicket
+from repro.resilience.workers import WorkerFactory
 from repro.sim.engine import Simulator
 
 
@@ -101,3 +104,54 @@ def test_sigkilled_worker_detected_by_dead_pipe():
         assert set(pool.marks(0)) == {"h0", "h1"}
     finally:
         pool.shutdown()
+
+
+def test_sigstopped_worker_detected_by_stale_heartbeat():
+    """A frozen worker keeps its pipe open (no EOF), so only its stale
+    heartbeat gives it away — long before the tick deadline."""
+    pool = ShardPool(1, heartbeat_grace_s=0.3, tick_deadline_s=30.0)
+    shards = {"h0": _shard()}
+    try:
+        assert pool.ensure_started(shards)
+        os.kill(pool._slots[0].proc.pid, signal.SIGSTOP)
+        t0 = time.monotonic()
+        assert pool.compute({0: [_ticket("h0")]}) == {}
+        assert time.monotonic() - t0 < 5.0
+        assert pool.worker_deaths == 1
+        assert pool.ensure_started(shards)  # the respawn succeeds
+        assert pool._slots[0].proc.is_alive()
+    finally:
+        pool.shutdown()
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _orphan_a_worker(conn) -> None:
+    factory = WorkerFactory(1, heartbeat_interval_s=0.05)
+    worker = factory.spawn(0, lambda message: message)
+    conn.send(worker.proc.pid)
+    os._exit(0)  # die like a SIGKILLed run: no stop, no atexit cleanup
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_orphaned_worker_exits_when_its_parent_dies():
+    ctx = multiprocessing.get_context("fork")
+    ours, theirs = ctx.Pipe()
+    middle = ctx.Process(target=_orphan_a_worker, args=(theirs,))
+    middle.start()
+    pid = ours.recv()
+    middle.join(timeout=5.0)
+    deadline = time.monotonic() + 5.0
+    try:
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(pid)
+    finally:
+        if _alive(pid):
+            os.kill(pid, signal.SIGKILL)

@@ -22,14 +22,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.cache import ResultCache, task_key
-from repro.experiments.parallel import WorkerError, run_many
-from repro.resilience import (
-    Checkpoint,
-    SupervisorPolicy,
-    WORKER_ENV,
-    run_many_supervised,
-    run_many_supervised_report,
-)
+from repro.experiments.parallel import WorkerError, run_many, run_many_report
+from repro.resilience import Checkpoint, SupervisorPolicy, WORKER_ENV
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -109,7 +103,7 @@ def _slow_three(x):
 
 def test_fault_free_run_matches_plain_engine():
     tasks = list(range(8))
-    report = run_many_supervised_report(
+    report = run_many_report(
         tasks, _square, workers=2, policy=FAST
     )
     assert report.results == run_many(tasks, _square, workers=2)
@@ -126,7 +120,7 @@ def test_fault_free_run_matches_plain_engine():
 
 
 def test_results_only_facade():
-    assert run_many_supervised(
+    assert run_many(
         list(range(5)), _square, workers=2, policy=FAST
     ) == [x * x for x in range(5)]
 
@@ -138,7 +132,7 @@ def test_results_only_facade():
 def test_raising_attempts_are_retried(tmp_path):
     tasks = list(range(6))
     runner = functools.partial(_flaky, str(tmp_path))
-    report = run_many_supervised_report(
+    report = run_many_report(
         tasks, runner, workers=2, policy=FAST
     )
     assert report.results == [x * x for x in tasks]
@@ -151,7 +145,7 @@ def test_raising_attempts_are_retried(tmp_path):
 def test_sigkilled_worker_is_respawned_and_task_retried(tmp_path):
     tasks = list(range(6))
     runner = functools.partial(_kill_first, str(tmp_path))
-    report = run_many_supervised_report(
+    report = run_many_report(
         tasks, runner, workers=2, policy=FAST
     )
     assert report.results == [x + 10 for x in tasks]
@@ -174,7 +168,7 @@ def test_deadline_blown_attempt_times_out_and_retries(tmp_path):
         backoff_max_s=0.05,
         speculate=False,
     )
-    report = run_many_supervised_report(
+    report = run_many_report(
         tasks, runner, workers=2, policy=policy
     )
     assert report.results == [x * 3 for x in tasks]
@@ -191,7 +185,7 @@ def test_straggler_gets_a_speculative_duplicate():
         speculation_factor=3.0,
         speculation_min_done=3,
     )
-    report = run_many_supervised_report(
+    report = run_many_report(
         tasks, _slow_three, workers=2, policy=policy
     )
     assert report.results == [x * x for x in tasks]
@@ -210,7 +204,7 @@ def test_salvage_resolves_exhausted_task_to_none():
         max_retries=1, backoff_base_s=0.01, backoff_max_s=0.02,
         speculate=False, salvage=True,
     )
-    report = run_many_supervised_report(
+    report = run_many_report(
         tasks, _boom_on_two, workers=2, policy=policy
     )
     assert report.results == [0, 1, None, 9, 16]
@@ -229,7 +223,7 @@ def test_without_salvage_exhaustion_raises_worker_error(workers):
         speculate=False, salvage=False,
     )
     with pytest.raises(WorkerError) as exc_info:
-        run_many_supervised_report(
+        run_many_report(
             list(range(5)), _boom_on_two, workers=workers, policy=policy
         )
     err = exc_info.value
@@ -237,6 +231,10 @@ def test_without_salvage_exhaustion_raises_worker_error(workers):
     assert err.task == 2
     assert "ValueError: boom" in (err.child_traceback or "")
     assert "worker traceback" in str(err)
+    # The runner's own exception is chained, and its traceback is
+    # printed once (not again inside a wrapping cause's message).
+    assert isinstance(err.__cause__, ValueError)
+    assert str(err).count("Traceback") == 1
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +244,7 @@ def test_without_salvage_exhaustion_raises_worker_error(workers):
 def test_workers_zero_supervises_in_process(tmp_path):
     tasks = list(range(5))
     runner = functools.partial(_flaky, str(tmp_path))
-    report = run_many_supervised_report(
+    report = run_many_report(
         tasks, runner, workers=0, policy=FAST
     )
     assert report.results == [x * x for x in tasks]
@@ -261,7 +259,7 @@ def test_pool_dead_beyond_respawn_falls_back_to_serial():
         max_respawns=0, max_retries=3, backoff_base_s=0.01,
         backoff_max_s=0.02, speculate=False,
     )
-    report = run_many_supervised_report(
+    report = run_many_report(
         tasks, _kill_always, workers=1, policy=policy
     )
     # WORKER_ENV is unset in the parent, so the fallback rung finishes
@@ -280,7 +278,7 @@ def test_cache_and_checkpoint_record_completed_tasks(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     manifest = tmp_path / "run.manifest"
     with Checkpoint(manifest, run_id="run-a", total=6) as checkpoint:
-        report = run_many_supervised_report(
+        report = run_many_report(
             tasks, _square, workers=0, policy=FAST,
             cache=cache, checkpoint=checkpoint,
         )
@@ -290,7 +288,7 @@ def test_cache_and_checkpoint_record_completed_tasks(tmp_path):
     # A warm re-run replays everything from the cache and re-records.
     with Checkpoint(manifest, run_id="run-a", total=6) as checkpoint:
         assert len(checkpoint) == 6
-        report = run_many_supervised_report(
+        report = run_many_report(
             tasks, _square, workers=0, policy=FAST,
             cache=cache, checkpoint=checkpoint,
         )
@@ -307,7 +305,7 @@ def test_salvaged_tasks_are_not_recorded_complete(tmp_path):
     )
     manifest = tmp_path / "run.manifest"
     with Checkpoint(manifest, run_id="run-b") as checkpoint:
-        report = run_many_supervised_report(
+        report = run_many_report(
             tasks, _boom_on_two, workers=0, policy=policy,
             cache=cache, checkpoint=checkpoint,
         )

@@ -157,7 +157,9 @@ class ShardPool:
         self.fallback_tickets = 0
         self._slots: List[Optional[Worker]] = [None] * self.workers
         self._marks: List[Dict[str, tuple]] = [{} for _ in self._slots]
-        self._factory = WorkerFactory(self.workers, heartbeat_interval_s)
+        self._factory = WorkerFactory(
+            self.workers, heartbeat_interval_s, daemon=True
+        )
         # Replicas are inherited at fork; without fork there are none.
         self.failed = not self._factory.forks
 

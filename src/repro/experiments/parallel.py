@@ -15,11 +15,13 @@ failure costs.  The default policy,
 * **In-process execution** — ``workers=0`` runs everything in the
   calling process with no worker processes at all: tests and debuggers
   see ordinary stack traces and module-level counters keep working.
-* **Crash surfacing** — the first exception inside a runner is re-raised
-  in the parent as :class:`WorkerError` carrying the task index,
-  description, the runner's exception as ``__cause__`` and the
-  **formatted child traceback**, never swallowed.  A worker that dies
-  raises a :class:`WorkerError` naming its task too.
+* **Crash surfacing** — an exception inside a runner (or an unpicklable
+  task or result) is re-raised in the parent as :class:`WorkerError`
+  carrying the task index, description, the exception as ``__cause__``
+  and the **formatted child traceback**, never swallowed.  A worker
+  that dies raises a :class:`WorkerError` naming its task too.  The
+  error names the lowest failing index whatever the completion order:
+  tasks below it still finish, tasks above it are dropped.
 * **Frozen-worker detection** — every worker heartbeats; one that stops
   beating for the policy's grace period (``SIGSTOP``, a wedged
   interpreter) raises :class:`WorkerError` instead of hanging the run.
@@ -136,8 +138,8 @@ def run_many_report(
         ``N > 0`` — dispatch across ``N`` forked worker processes.
     policy:
         How much supervision the run gets; defaults to
-        :data:`~repro.resilience.supervisor.STRICT` (the first failure
-        raises :class:`WorkerError`).  A salvaging policy resolves
+        :data:`~repro.resilience.supervisor.STRICT` (a failure raises
+        :class:`WorkerError` for the lowest failing index).  A salvaging policy resolves
         exhausted tasks to ``None`` placeholders instead — check
         ``report.ok``.  With ``workers=0`` retries and salvage still
         apply, but no timeout can be enforced.

@@ -4,11 +4,11 @@
 through :class:`_Supervisor`; a :class:`SupervisorPolicy` chooses how
 much supervision a run gets.  The default, :data:`STRICT`, gives the
 plain semantics — no retries, no speculation, no salvage, no task
-deadline: the first failure raises :class:`WorkerError`, and a
-long-running task is never killed.  It keeps heartbeats on, so a frozen
-worker raises instead of hanging the run.  Callers that must *finish*
-even when workers crash, wedge or straggle pass a richer policy, which
-layers on:
+deadline: a failure raises :class:`WorkerError` for the lowest failing
+task index, and a long-running task is never killed.  It keeps
+heartbeats on, so a frozen worker raises instead of hanging the run.
+Callers that must *finish* even when workers crash, wedge or straggle
+pass a richer policy, which layers on:
 
 * **per-task wall-clock timeouts** — a dispatch that exceeds its budget
   gets its worker killed and the task rescheduled;
@@ -49,6 +49,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.resilience.workers import (
@@ -173,9 +174,9 @@ class SupervisorPolicy:
     poll_interval_s: float = 0.02
 
 
-#: The plain engine: the first failure (a raise, a worker death, a
-#: frozen worker) raises :class:`WorkerError`, and no deadline ever
-#: kills a long task.
+#: The plain engine: a failure (a raise, a worker death, a frozen
+#: worker) raises :class:`WorkerError` for the lowest failing task
+#: index, and no deadline ever kills a long task.
 STRICT = SupervisorPolicy(
     task_timeout_s=math.inf, max_retries=0, speculate=False, salvage=False,
 )
@@ -216,13 +217,15 @@ class SupervisorStats:
 def _traced(runner: Callable[[Any], Any], message: Tuple[str, Any]):
     """Worker handler: run ``runner(task)``, capturing the traceback text.
 
-    Returns ``("ok", value)`` or ``("err", traceback_text, exc)`` — the
-    exception travels back as a pickled *value* so the parent can chain
-    it, while the formatted traceback (which pickling would lose)
-    travels beside it as plain text.
+    Returns ``("ok", pickled_value)`` or ``("err", traceback_text, exc)``.
+    The value is pickled here, inside the error handling, so an
+    unpicklable result fails its task with the real cause instead of
+    killing the worker.  The exception travels back as a pickled *value*
+    so the parent can chain it, while the formatted traceback (which
+    pickling would lose) travels beside it as plain text.
     """
     try:
-        value = runner(message[1])
+        value = pickle.dumps(runner(message[1]), pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         text = traceback.format_exc()
         try:
@@ -292,6 +295,8 @@ class _Supervisor:
         self.pool: Dict[Any, Worker] = {}
         #: Busy workers: slot → (task index, dispatch time).
         self.running: Dict[int, Tuple[int, float]] = {}
+        #: Lowest-index task that exhausted under a non-salvaging policy.
+        self.failed: Optional[_Task] = None
 
     # -- worker lifecycle ------------------------------------------------
 
@@ -346,10 +351,8 @@ class _Supervisor:
             self.stats.retries += 1
             return
         if not self.policy.salvage:
-            raise WorkerError(
-                state.index, self.tasks[state.index], state.last_exc,
-                state.last_traceback,
-            ) from state.last_exc
+            self._fail(state)
+            return
         self.stats.salvaged += 1
         self._resolve(state, None, TaskOutcome(
             index=state.index, status=kind, attempts=state.dispatches,
@@ -357,6 +360,21 @@ class _Supervisor:
                      if state.first_dispatch else 0.0),
             error=text or str(exc), speculated=state.speculated,
         ))
+
+    def _fail(self, state: _Task) -> None:
+        """Stop the run at the lowest-index exhausted task.
+
+        Every task above it is dropped (running ones are killed when the
+        pool shuts down); the ones below still resolve, so the
+        :class:`WorkerError` that :meth:`run` raises names the lowest
+        failing index whatever the completion order.
+        """
+        if self.failed is None or state.index < self.failed.index:
+            self.failed = state
+        for index in list(self.unresolved):
+            if index >= self.failed.index:
+                self.states[index].resolved = True
+                self.unresolved.discard(index)
 
     def _succeeded(self, state: _Task, value: Any, elapsed: float) -> None:
         self._resolve(state, value, TaskOutcome(
@@ -391,7 +409,15 @@ class _Supervisor:
         state.active.add(worker.slot)
         self.running[worker.slot] = (index, now)
         try:
-            worker.conn.send(("task", self.tasks[index]))
+            payload = ForkingPickler.dumps(("task", self.tasks[index]))
+        except Exception as exc:
+            # An unpicklable task fails its attempt on the spot; the
+            # worker stays idle and healthy.
+            self._release(worker)
+            self._attempt_failed(state, "failed", exc, traceback.format_exc())
+            return
+        try:
+            worker.conn.send_bytes(payload)
         except (OSError, ValueError):
             # The worker died between polls; the normal retry path
             # reschedules the task.
@@ -457,22 +483,32 @@ class _Supervisor:
             self.stats.speculative_wins += 1
         duration = time.monotonic() - state.first_dispatch
         self.durations.append(duration)
-        self._succeeded(state, envelope[1], duration)
+        self._succeeded(state, pickle.loads(envelope[1]), duration)
 
     # -- main loop -------------------------------------------------------
 
     def run(self) -> None:
-        """Resolve every pending task (``workers=0``: in-process)."""
+        """Resolve every pending task (``workers=0``: in-process).
+
+        Raises :class:`WorkerError` for the lowest-index task that
+        exhausted its attempts under a non-salvaging policy.
+        """
         if self.target_workers > 0:
             self._run_pool()
-            if not self.unresolved:
-                return
-            self.stats.serial_fallback = True
-        self._serial_rung()
+            if self.unresolved:
+                self.stats.serial_fallback = True
+        if self.unresolved:
+            self._serial_rung()
+        if self.failed is not None:
+            state = self.failed
+            raise WorkerError(
+                state.index, self.tasks[state.index], state.last_exc,
+                state.last_traceback,
+            ) from state.last_exc
 
     def _run_pool(self) -> None:
         self.factory = WorkerFactory(
-            self.slots, self.policy.heartbeat_interval_s
+            self.slots, self.policy.heartbeat_interval_s, daemon=False
         )
         try:
             for _ in range(min(self.target_workers, len(self.unresolved))):

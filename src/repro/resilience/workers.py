@@ -17,6 +17,12 @@ in the message handler they pass.  A worker:
 * exits within one beat interval once its parent is gone, so a
   SIGKILLed run leaves no workers behind.
 
+Run workers are non-daemonic because a runner may start a pool of its
+own (a figure task that steps its control plane on a shard pool), and
+daemonic processes may not have children.  Shard workers never do, and
+stay daemonic so an interpreter that exits without shutting its pool
+down terminates them instead of waiting on them.
+
 Each worker gets its own pipe — deliberately not a shared
 ``multiprocessing.Queue``: SIGKILLing a worker that holds a shared
 queue's read lock would deadlock every other consumer, while killing a
@@ -108,12 +114,14 @@ def stop_workers(workers: Iterable[Worker]) -> None:
 class WorkerFactory:
     """Forks workers into a fixed number of heartbeat slots."""
 
-    def __init__(self, slots: int, heartbeat_interval_s: float) -> None:
+    def __init__(self, slots: int, heartbeat_interval_s: float, *,
+                 daemon: bool) -> None:
         try:
             self.ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
             self.ctx = multiprocessing.get_context()
         self.heartbeat_interval_s = heartbeat_interval_s
+        self.daemon = daemon
         self.beats = self.ctx.Array("d", slots, lock=False)
 
     @property
@@ -131,7 +139,7 @@ class WorkerFactory:
             target=_worker_main,
             args=(child_conn, self.beats, slot, self.heartbeat_interval_s,
                   handler),
-            daemon=True,
+            daemon=self.daemon,
         )
         proc.start()
         child_conn.close()

@@ -3,10 +3,12 @@
 import math
 import os
 import signal
+import threading
 import time
 
 import pytest
 
+from repro.core.shardpool import ShardPool
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
     Progress,
@@ -42,6 +44,25 @@ def _freeze_on_one(task):
     if task == 1 and os.environ.get(WORKER_ENV):
         os.kill(os.getpid(), signal.SIGSTOP)  # silences the heartbeat too
     return task
+
+
+def _fail_all_lowest_last(task):
+    time.sleep(0.3 if task == 0 else 0.0)
+    raise ValueError(f"bad point {task}")
+
+
+def _unpicklable_result(task):
+    return threading.Lock()
+
+
+def _pool_in_worker(task):
+    """Fork a shard worker from a run worker and round-trip one tick."""
+    pool = ShardPool(1)
+    try:
+        assert pool.ensure_started({})
+        return pool.compute({0: []}) == {} and pool._slots[0].proc.is_alive()
+    finally:
+        pool.shutdown()
 
 
 # ------------------------------------------------------------------ ordering
@@ -106,6 +127,40 @@ def test_frozen_worker_raises_after_heartbeat_grace():
     assert exc_info.value.child_traceback is None
     assert "heartbeat" in str(exc_info.value)
     assert time.monotonic() - t0 < 30.0
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_worker_error_names_the_lowest_failing_index(workers):
+    """Task 1 fails first in time, task 0 later; the error names task 0
+    — the task a serial run stops at — whatever the completion order."""
+    with pytest.raises(WorkerError) as exc_info:
+        run_many([0, 1, 2, 3], _fail_all_lowest_last, workers=workers)
+    assert exc_info.value.index == 0
+    assert isinstance(exc_info.value.__cause__, ValueError)
+
+
+def test_unpicklable_result_chains_the_pickling_error():
+    with pytest.raises(WorkerError) as exc_info:
+        run_many([5], _unpicklable_result, workers=1)
+    err = exc_info.value
+    assert err.index == 0
+    assert "pickle" in str(err.__cause__)
+    assert "cannot pickle" in err.child_traceback
+
+
+def test_unpicklable_task_names_the_task():
+    tasks = [1, threading.Lock(), 3]
+    with pytest.raises(WorkerError) as exc_info:
+        run_many(tasks, _square, workers=2)
+    assert exc_info.value.index == 1
+    assert "pickle" in str(exc_info.value.__cause__)
+
+
+@pytest.mark.timeout(60)
+def test_run_worker_may_start_a_shard_pool():
+    """Run workers are non-daemonic: a runner that steps its control
+    plane on a shard pool forks shard workers from inside one."""
+    assert run_many([0, 1], _pool_in_worker, workers=1) == [True, True]
 
 
 # ------------------------------------------------------------------ progress

@@ -133,7 +133,7 @@ def _alive(pid: int) -> bool:
 
 
 def _orphan_a_worker(conn) -> None:
-    factory = WorkerFactory(1, heartbeat_interval_s=0.05)
+    factory = WorkerFactory(1, heartbeat_interval_s=0.05, daemon=False)
     worker = factory.spawn(0, lambda message: message)
     conn.send(worker.proc.pid)
     os._exit(0)  # die like a SIGKILLed run: no stop, no atexit cleanup

@@ -108,8 +108,8 @@ class InterferenceDetector:
 
         The shared tail of :meth:`evaluate`: a parent absorbing a pool
         worker's :class:`~repro.core.verdict.ControlVerdict` replays this
-        with the worker-computed deviations, keeping both replicas of the
-        detector state in lockstep.
+        with the worker-computed deviations, so its signal history grows
+        exactly as if it had evaluated them itself.
         """
         result = DetectionResult(
             app_id=app_id,

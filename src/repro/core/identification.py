@@ -50,7 +50,7 @@ the affected pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -181,9 +181,10 @@ class AntagonistIdentifier:
 
         The state-mutating tail of :meth:`identify`: a parent absorbing a
         pool worker's verdict replays this with the worker's scores, so
-        ``_last_hit`` stays in lockstep across the replicas.  Antagonists
-        are always a subset of ``correlations`` — a VM outside the
-        current suspect set is never resurrected by its TTL alone.
+        ``_last_hit`` evolves as if it had scored them itself.
+        Antagonists are always a subset of ``correlations`` — a VM
+        outside the current suspect set is never resurrected by its TTL
+        alone.
         """
         antagonists: Set[str] = set()
         for vm, r in correlations.items():
@@ -196,6 +197,18 @@ class AntagonistIdentifier:
             if last is not None and now - last <= self.config.antagonist_ttl_s:
                 antagonists.add(vm)
         return antagonists
+
+    def hits(self, vms) -> Tuple[Tuple[str, str, float], ...]:
+        """TTL state of ``vms``: ``(resource, vm, last hit time)`` entries."""
+        vms = set(vms)
+        return tuple((resource, vm, t)
+                     for (resource, vm), t in self._last_hit.items()
+                     if vm in vms)
+
+    def restore_hits(self, hits) -> None:
+        """Seed TTL state exported by :meth:`hits`."""
+        for resource, vm, t in hits:
+            self._last_hit[(resource, vm)] = t
 
     def forget(self, vm: str) -> None:
         """Drop TTL and cached-alignment state for a departed VM."""

@@ -30,7 +30,7 @@ reboot wiped them), cap state for departed VMs is retired, and no
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import PerfCloudConfig
@@ -38,8 +38,13 @@ from repro.core.cubic import CapState, CubicController
 from repro.core.detector import InterferenceDetector
 from repro.core.identification import AntagonistIdentifier
 from repro.core.monitor import PerformanceMonitor, VmSample
-from repro.core.verdict import ComputeTicket, ControlVerdict, compute_verdict
-from repro.metrics.timeseries import TimeSeries
+from repro.core.verdict import (
+    USAGE_METRICS,
+    ComputeTicket,
+    ControlVerdict,
+    compute_verdict,
+)
+from repro.metrics.timeseries import LOOKUP_TOL, TimeSeries
 from repro.resilience.breaker import GuardedConnection
 from repro.resilience.ladder import (
     FULL,
@@ -53,6 +58,11 @@ from repro.sim.engine import Simulator
 from repro.virt.libvirt_api import VCPU_PERIOD_US, Connection, Domain, LibvirtError
 
 __all__ = ["ControlPlaneStats", "IntervalContext", "NodeManager"]
+
+
+def _plain(arrays) -> tuple:
+    """``(times, values)`` arrays as float tuples: bit-exact across pickle."""
+    return tuple(tuple(a.tolist()) for a in arrays)
 
 
 @dataclass
@@ -233,8 +243,8 @@ class NodeManager:
         """Phase C: apply a verdict (actuation + accounting).
 
         ``absorb=True`` replays the verdict's deviations and scores into
-        this agent's detector/identifier (the verdict was computed on a
-        worker's replica); ``absorb=False`` means the compute ran on this
+        this agent's detector/identifier (the verdict was computed by a
+        pool worker); ``absorb=False`` means the compute ran on this
         very agent and the state is already mutated.
         """
         try:
@@ -319,10 +329,9 @@ class NodeManager:
     def victim_tails(self, ticket: ComputeTicket) -> tuple:
         """Victim-signal tails for a pool-bound ticket.
 
-        Long enough (``max(corr_window, corr_min_samples)``) that a
-        worker whose replica missed any number of ticket-free ticks can
-        reconstruct everything the compute half reads: ``identify``
-        consumes only ``victim.tail(corr_window)``, and the
+        Long enough (``max(corr_window, corr_min_samples)``) for a
+        worker to reconstruct everything the compute half reads:
+        ``identify`` consumes only ``victim.tail(corr_window)``, and the
         enough-history check saturates at ``corr_min_samples`` on both
         sides once that many entries exist.
         """
@@ -332,13 +341,41 @@ class NodeManager:
             sig = self.detector.signals.get(app_id)
             if sig is None:
                 continue
-            entry = [app_id]
-            for kind in ("io", "cpi"):
-                times, values = sig[kind].tail(length)
-                entry.append((tuple(float(t) for t in times),
-                              tuple(float(v) for v in values)))
-            tails.append(tuple(entry))
+            tails.append((app_id, *(_plain(sig[kind].tail(length))
+                                    for kind in ("io", "cpi"))))
         return tuple(tails)
+
+    def pool_ticket(self, ctx: IntervalContext) -> ComputeTicket:
+        """``ctx.ticket`` plus every input a stateless worker computes it
+        from (see :func:`~repro.core.verdict.compute_shipped`).
+
+        Suspect usage ships only where it can matter: samples within the
+        lookup tolerance of the victim grid identification aligns on —
+        the newest ``corr_window`` signal instants once ``now`` is
+        appended.
+        """
+        ticket = ctx.ticket
+        tails = self.victim_tails(ticket)
+        samples = tuple(
+            (vm, ctx.samples[vm])
+            for _, members in ticket.app_members for vm in members
+            if vm in ctx.samples
+        )
+        usage = hits = ()
+        if ticket.suspects:
+            window = self.config.corr_window
+            start = min(((io[0] + (ticket.now,))[-window:][0]
+                         for _, io, _ in tails), default=ticket.now)
+            lo, hi = start - LOOKUP_TOL, ticket.now + LOOKUP_TOL
+            history = self.monitor.history
+            usage = tuple(
+                (vm, *(_plain(history[vm][metric].window(lo, hi))
+                       for metric in USAGE_METRICS))
+                for vm in ticket.suspects
+            )
+            hits = self.identifier.hits(ticket.suspects)
+        return replace(ticket, config=self.config, samples=samples,
+                       victim_tails=tails, usage=usage, hits=hits)
 
     def _compute_ctx(self, ctx: IntervalContext) -> ControlVerdict:
         """Run the compute half on this agent's own (live) state."""

@@ -22,13 +22,13 @@ persistent fork pool (:mod:`repro.core.shardpool`):
 * **phase A (parent)** — every shard's ``begin_interval``: libvirt
   sampling into its metric plane, inventory snapshot, ticket
   construction.
-* **phase B (pool)** — each pool-bound ticket carries what its worker's
-  replicas missed since their sync mark (plane delta, victim-signal
-  tails); workers install it and run the pure compute half (detection +
-  identification) against their fork-inherited replicas, and return
-  compact verdicts.
+* **phase B (pool)** — each pool-bound ticket carries its compute
+  inputs (member samples, victim-signal tails, suspect usage near the
+  victim grid, TTL hits); stateless workers run the pure compute half
+  (detection + identification) on the ticket alone and return compact
+  verdicts.
 * **phase C (parent)** — verdicts are applied *in attach order*
-  (actuation + absorption into the parent replicas), so the merged
+  (actuation + absorption into the node manager's state), so the merged
   outcome is byte-identical to ``workers=0`` regardless of which worker
   finished first.  Dead or stale workers are detected by heartbeat and
   their tickets recomputed serially through the very same code path.
@@ -44,7 +44,6 @@ so deployments force ``workers=0`` whenever an injector is wired in.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.sim.engine import Simulator
@@ -150,15 +149,9 @@ class ShardedControlPlane:
         t1 = time.perf_counter()
 
         # Phase B: ship tickets to the pool (attach-order round-robin);
-        # hosts a worker has never seen stay parent-side, and quiet
-        # hosts skip the round-trip entirely (ticket-free ticks) — both
-        # fall through to the phase-C serial path, so where a ticket
-        # runs never changes what it computes.  Pool-bound tickets carry
-        # the plane delta since the worker's sync mark for that host and
-        # victim-signal tails, closing every gap the intervals it never
-        # saw left in its replicas; the mark then advances.  A ticket
-        # the worker fails to take kills the worker, and its respawn
-        # starts from fresh marks.
+        # quiet hosts skip the round-trip entirely (ticket-free ticks)
+        # and fall through to the phase-C serial path, so where a ticket
+        # runs never changes what it computes.
         assignments: Dict[int, list] = {}
         skipped = 0
         host_slot = {
@@ -166,20 +159,11 @@ class ShardedControlPlane:
             for idx, host in enumerate(self._shards)
         }
         for nm, ctx in work:
-            slot = host_slot[nm.host_name]
-            marks = pool.marks(slot)
-            if nm.host_name not in marks:
-                continue
             if self.ticket_free and nm.quiet_interval(ctx):
                 skipped += 1
                 continue
-            plane = nm.monitor.plane
-            assignments.setdefault(slot, []).append(replace(
-                ctx.ticket,
-                plane_delta=plane.delta_since(marks[nm.host_name]),
-                victim_tails=nm.victim_tails(ctx.ticket),
-            ))
-            marks[nm.host_name] = plane.sync_mark()
+            assignments.setdefault(host_slot[nm.host_name], []).append(
+                nm.pool_ticket(ctx))
         results = pool.compute(assignments) if assignments else {}
         t2 = time.perf_counter()
 
@@ -198,13 +182,9 @@ class ShardedControlPlane:
         self.timings["complete_s"] += t3 - t2
         self.timings["ticket_free"] += skipped
         # Deliberate skips are not fallbacks: a fallback is a ticket the
-        # pool was *supposed* to compute but could not (unknown host,
-        # worker death, deadline).
+        # pool was *supposed* to compute but could not (worker error,
+        # death, deadline).
         self.timings["fallback_tickets"] += len(work) - skipped - len(results)
-
-        # Tick boundary: every verdict absorbed, parent state == worker
-        # state — the only moment a (re)spawn fork is valid.
-        pool.ensure_started(self._worker_shards())
 
     def _ensure_pool(self):
         """The persistent pool, forked lazily at the first parallel tick."""
@@ -212,14 +192,9 @@ class ShardedControlPlane:
             from repro.core.shardpool import ShardPool
 
             self._pool = ShardPool(min(self.workers, max(1, len(self._shards))))
-        if not self._pool.ensure_started(self._worker_shards()):
+        if not self._pool.ensure_started():
             return None
         return self._pool
-
-    def _worker_shards(self):
-        from repro.core.shardpool import WorkerShard
-
-        return {host: WorkerShard(nm) for host, nm in self._shards.items()}
 
     def pool_stats(self) -> Optional[Dict[str, object]]:
         """Shard-pool health counters, or ``None`` before the first fork."""
@@ -229,7 +204,6 @@ class ShardedControlPlane:
         return {
             "worker_deaths": pool.worker_deaths,
             "respawns": pool.respawns,
-            "fallback_tickets": pool.fallback_tickets,
             "failed": pool.failed,
         }
 

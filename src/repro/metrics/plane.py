@@ -30,56 +30,20 @@ One intentional difference: capacity bounds the shared *column* count
 (time grid length), not each series individually — per-series length is
 therefore still ≤ capacity, but all series on one plane evict the same
 oldest instants together.
-
-Replicas: a shard-pool worker holds a fork-time copy of its hosts'
-planes.  :meth:`MetricPlane.sync_mark` names the state a replica holds,
-:meth:`MetricPlane.delta_since` packs everything that changed after a
-mark into a picklable :class:`PlaneDelta` (the columns added since, the
-live-region length, the row mapping, the per-series drop counts that
-moved, the version), and :meth:`MetricPlane.install` applies it — after
-which the replica answers every read exactly like the plane it copies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.metrics.timeseries import lookup_nearest, nearest_index
+from repro.metrics.timeseries import LOOKUP_TOL, lookup_nearest, nearest_index
 
-__all__ = ["MetricPlane", "PlaneDelta", "PlaneSeries"]
-
-_LOOKUP_TOL = 1e-6
+__all__ = ["MetricPlane", "PlaneSeries"]
 
 _EMPTY = np.empty(0)
 _EMPTY.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class PlaneDelta:
-    """What a replica synced at some mark is missing (see ``install``).
-
-    ``values``/``present`` are ``(metric, mapped row, column)`` blocks of
-    the newest columns, rows in ``rows`` order.  Plain numpy arrays and
-    tuples: bit-exact across pickle.
-    """
-
-    #: Source plane's ``version`` after the change.
-    version: int
-    #: Columns ever ingested by the source plane.
-    columns: int
-    #: Live-region length (retained columns) of the source plane.
-    live: int
-    #: Timestamps of the columns added since the mark (still live ones).
-    grid: np.ndarray
-    values: np.ndarray
-    present: np.ndarray
-    #: ``(vm, row, registration column)`` per registered VM, in order.
-    rows: Tuple[Tuple[str, int, int], ...]
-    #: ``(vm, metric, dropped)`` for every series whose count moved.
-    dropped: Tuple[Tuple[str, str, int], ...]
 
 
 class MetricPlane:
@@ -107,19 +71,12 @@ class MetricPlane:
         self._start = 0
         self._end = 0
         self._grid, self._vals, self._mask = self._alloc_storage(rows, cols)
-        #: Columns ever ingested (the logical index of the next one).
-        self._columns = 0
         self._row_of: Dict[str, int] = {}
-        #: Logical column at which each registered VM got its row — tells
-        #: a replica a reused row from the one it knew.
-        self._born: Dict[str, int] = {}
         self._vm_of_row: List[Optional[str]] = [None] * rows
         self._free_rows: List[int] = list(range(rows - 1, -1, -1))
         #: Evicted/pruned present-cell counts per (vm, metric) — survives
         #: VM removal so a stale reader sees a consistent ``appended``.
         self._dropped: Dict[Tuple[str, str], int] = {}
-        #: ``version`` at each ``_dropped`` entry's last change.
-        self._dropped_at: Dict[Tuple[str, str], int] = {}
         self._grid_view: Optional[np.ndarray] = None
 
     # ----------------------------------------------------------------- write
@@ -152,7 +109,6 @@ class MetricPlane:
                 self._vals[m][row, j] = float(value)
                 self._mask[m][row, j] = True
         self._end += 1
-        self._columns += 1
         if self._end - self._start > self.capacity:
             self._evict_columns(1)
         self.version += 1
@@ -178,7 +134,6 @@ class MetricPlane:
         row = self._row_of.pop(vm, None)
         if row is None:
             return
-        del self._born[vm]
         lo, hi = self._start, self._end
         for m in self.metrics:
             n = int(self._mask[m][row, lo:hi].sum())
@@ -233,79 +188,6 @@ class MetricPlane:
         """Present cells dropped across every series (exposition counter)."""
         return sum(self._dropped.values())
 
-    # --------------------------------------------------------------- replicas
-    def sync_mark(self) -> Tuple[int, int]:
-        """Names the current state: ``(version, columns ingested)``."""
-        return self.version, self._columns
-
-    def delta_since(self, mark: Tuple[int, int]) -> PlaneDelta:
-        """What a replica holding ``mark`` needs to equal this plane.
-
-        Only still-live columns ingested after the mark travel, so the
-        payload grows with the intervals the replica missed, not with
-        run length.  ``mark`` must name a state of this very plane.
-        """
-        version, columns = mark
-        live = self._end - self._start
-        lo = self._end - min(self._columns - columns, live)
-        rows = list(self._row_of.values())
-        return PlaneDelta(
-            version=self.version,
-            columns=self._columns,
-            live=live,
-            grid=self._grid[lo:self._end].copy(),
-            values=np.stack([self._vals[m][rows, lo:self._end]
-                             for m in self.metrics]),
-            present=np.stack([self._mask[m][rows, lo:self._end]
-                              for m in self.metrics]),
-            rows=tuple((vm, row, self._born[vm])
-                       for vm, row in self._row_of.items()),
-            dropped=tuple((vm, m, n) for (vm, m), n in self._dropped.items()
-                          if self._dropped_at[(vm, m)] >= version),
-        )
-
-    def install(self, delta: PlaneDelta) -> None:
-        """Bring this replica to the state ``delta`` was taken at.
-
-        The replica must hold the mark the delta was built from.  It is
-        a reader: it never ingests, so its free-row list goes stale.
-        """
-        # Rows whose VM left (or whose row was reused) since the mark
-        # lost every old cell at the source.
-        new = {row: (vm, born) for vm, row, born in delta.rows}
-        for vm, row in self._row_of.items():
-            if new.get(row) != (vm, self._born[vm]):
-                self._vm_of_row[row] = None
-                for m in self.metrics:
-                    self._mask[m][row] = False
-        while len(self._vm_of_row) <= max(new, default=-1):
-            self._grow_rows()
-        self._row_of = {vm: row for vm, row, _ in delta.rows}
-        self._born = {vm: born for vm, _, born in delta.rows}
-        for vm, row in self._row_of.items():
-            self._vm_of_row[row] = vm
-        # Columns: keep the still-live tail of what the replica has,
-        # then append the new ones.
-        k = delta.grid.size
-        self._start = self._end - (delta.live - k)
-        if self._end + k > self._grid.size:
-            self._make_room(k)
-        cols = slice(self._end, self._end + k)
-        self._grid[cols] = delta.grid
-        rows = list(self._row_of.values())
-        for i, m in enumerate(self.metrics):
-            # Dead ring columns may hold stale cells of free rows, which
-            # a later registration would otherwise inherit.
-            self._mask[m][:, cols] = False
-            self._vals[m][rows, cols] = delta.values[i]
-            self._mask[m][rows, cols] = delta.present[i]
-        self._end += k
-        self._columns = delta.columns
-        for vm, m, n in delta.dropped:
-            self._dropped[(vm, m)] = n
-        self.version = delta.version
-        self._grid_view = None
-
     # ------------------------------------------------------------- internals
     def _alloc_storage(
         self, rows: int, cols: int
@@ -320,7 +202,6 @@ class MetricPlane:
             self._grow_rows()
         row = self._free_rows.pop()
         self._row_of[vm] = row
-        self._born[vm] = self._columns
         self._vm_of_row[row] = vm
 
     def _grow_rows(self) -> None:
@@ -359,7 +240,6 @@ class MetricPlane:
     def _drop(self, vm: str, metric: str, n: int) -> None:
         key = (vm, metric)
         self._dropped[key] = self._dropped.get(key, 0) + n
-        self._dropped_at[key] = self.version
 
     def _grid_times(self) -> np.ndarray:
         if self._grid_view is None:
@@ -368,13 +248,12 @@ class MetricPlane:
             self._grid_view = v
         return self._grid_view
 
-    def _make_room(self, k: int = 1) -> None:
-        """Compact live columns to the front so ``k`` more fit, growing
-        up to 2x capacity."""
+    def _make_room(self) -> None:
+        """Compact live columns to the front, growing up to 2x capacity."""
         n = self._end - self._start
         size = self._grid.size
-        if n > size // 2 or n + k > size:  # mostly live: grow (≤ 2x capacity)
-            new_size = min(max(2 * size, 64, n + k), 2 * self.capacity)
+        if n > size // 2:  # mostly live: grow (never past 2x capacity)
+            new_size = min(max(2 * size, 64), 2 * self.capacity)
             rows = len(self._vm_of_row)
             grid, vals, mask = self._alloc_storage(rows, new_size)
             grid[:n] = self._grid[self._start:self._end]
@@ -492,7 +371,7 @@ class PlaneSeries:
         hi = int(np.searchsorted(self._t, end + 1e-9, side="right"))
         return self._t[lo:hi], self._v[lo:hi]
 
-    def value_at(self, time: float, tolerance: float = _LOOKUP_TOL) -> Optional[float]:
+    def value_at(self, time: float, tolerance: float = LOOKUP_TOL) -> Optional[float]:
         self._materialize()
         if self._t.size == 0:
             return None
@@ -502,7 +381,7 @@ class PlaneSeries:
         return None
 
     def lookup(
-        self, times: Iterable[float], tolerance: float = _LOOKUP_TOL
+        self, times: Iterable[float], tolerance: float = LOOKUP_TOL
     ) -> Tuple[np.ndarray, np.ndarray]:
         q = np.asarray(
             times if isinstance(times, (np.ndarray, list, tuple)) else list(times),

@@ -27,10 +27,10 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["TimeSeries", "lookup_nearest", "nearest_index"]
+__all__ = ["LOOKUP_TOL", "TimeSeries", "lookup_nearest", "nearest_index"]
 
 #: Default time tolerance for exact-instant lookups (seconds).
-_LOOKUP_TOL = 1e-6
+LOOKUP_TOL = 1e-6
 
 _EMPTY = np.empty(0)
 _EMPTY.flags.writeable = False
@@ -54,7 +54,7 @@ def lookup_nearest(
     t: np.ndarray,
     v: np.ndarray,
     q: np.ndarray,
-    tolerance: float = _LOOKUP_TOL,
+    tolerance: float = LOOKUP_TOL,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized nearest-sample lookup over sorted timestamps ``t``.
 
@@ -211,7 +211,7 @@ class TimeSeries:
         hi = int(np.searchsorted(t, end + 1e-9, side="right"))
         return t[lo:hi], self._values_view()[lo:hi]
 
-    def value_at(self, time: float, tolerance: float = _LOOKUP_TOL) -> Optional[float]:
+    def value_at(self, time: float, tolerance: float = LOOKUP_TOL) -> Optional[float]:
         """The value sampled at ``time`` (within ``tolerance``), else None.
 
         O(log n): binary search for the nearest timestamp (first occurrence
@@ -226,7 +226,7 @@ class TimeSeries:
         return None
 
     def lookup(
-        self, times: Iterable[float], tolerance: float = _LOOKUP_TOL
+        self, times: Iterable[float], tolerance: float = LOOKUP_TOL
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`value_at` over many instants.
 

@@ -189,7 +189,7 @@ def _snapshot_control_plane(families: Dict[str, Family], plane) -> None:
              {}, timings.get(key, 0.0))
     pool = plane.pool_stats()
     if pool is not None:
-        for key in ("worker_deaths", "respawns", "fallback_tickets"):
+        for key in ("worker_deaths", "respawns"):
             _add(_fam(families, f"repro_shardpool_{key}_total", "counter",
                       f"Shard-pool {key} count."), {}, pool[key])
         _add(_fam(families, "repro_shardpool_failed", "gauge",

@@ -168,8 +168,6 @@ class SupervisorPolicy:
     max_respawns: int = 4
     #: Resolve exhausted tasks to ``None`` placeholders instead of raising.
     salvage: bool = True
-    #: Run remaining tasks in-process if the pool dies beyond respawn.
-    serial_fallback: bool = True
     #: Parent poll cadence (pipe readiness + deadline scans).
     poll_interval_s: float = 0.02
 

@@ -124,11 +124,6 @@ class WorkerFactory:
         self.daemon = daemon
         self.beats = self.ctx.Array("d", slots, lock=False)
 
-    @property
-    def forks(self) -> bool:
-        """Whether workers inherit the parent's memory (fork start)."""
-        return self.ctx.get_start_method() == "fork"
-
     def spawn(self, slot: int, handler: Callable[[Any], Any]) -> Worker:
         """Start a worker in ``slot`` that answers messages with
         ``handler``.  Under fork the handler (and whatever it closes

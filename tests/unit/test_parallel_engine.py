@@ -59,7 +59,7 @@ def _pool_in_worker(task):
     """Fork a shard worker from a run worker and round-trip one tick."""
     pool = ShardPool(1)
     try:
-        assert pool.ensure_started({})
+        assert pool.ensure_started()
         return pool.compute({0: []}) == {} and pool._slots[0].proc.is_alive()
     finally:
         pool.shutdown()

@@ -16,14 +16,20 @@ from repro.resilience.workers import WorkerFactory
 from repro.sim.engine import Simulator
 
 
-def _ticket(host: str, epoch: int = 1) -> ComputeTicket:
-    return ComputeTicket(host=host, epoch=epoch, now=5.0, app_members=(),
-                         suspects=(), do_identify=False)
+class _WedgedConfig:
+    """A config whose first threshold read hangs the worker."""
+
+    @property
+    def h_io(self):
+        time.sleep(30.0)
 
 
-def _shard(plane=None) -> SimpleNamespace:
-    """A worker shard stub; its default plane cannot install a delta."""
-    return SimpleNamespace(plane=plane or SimpleNamespace(), mark=(0, 0))
+def _ticket(host: str, epoch: int = 1, config=None) -> ComputeTicket:
+    """A one-app ticket; without a config the worker cannot threshold
+    its deviation and raises."""
+    return ComputeTicket(host=host, epoch=epoch, now=5.0,
+                         app_members=(("app", ("vm0",)),), suspects=(),
+                         do_identify=False, config=config)
 
 
 # ------------------------------------------------------------ attach guard
@@ -50,39 +56,31 @@ def test_worker_error_kills_slot_and_pool_fails_past_budget():
     partial, the slot dies, and once the respawn budget is spent the
     pool fails permanently (the coordinator then stays serial)."""
     pool = ShardPool(1, max_respawns=1)
-    # A shard whose plane cannot satisfy the worker protocol: the first
-    # ticket raises inside the worker and aborts the batch.
-    shards = {"h0": _shard()}
     try:
-        assert pool.ensure_started(shards)
+        assert pool.ensure_started()
         assert pool.compute({0: [_ticket("h0")]}) == {}
         assert pool.worker_deaths == 1
         assert pool.respawns == 1
         assert not pool.failed
 
-        assert pool.ensure_started(shards)  # respawn within budget
+        assert pool.ensure_started()  # respawn within budget
         assert pool.compute({0: [_ticket("h0", epoch=2)]}) == {}
         assert pool.worker_deaths == 2
 
         # Budget exhausted: the next spawn attempt fails the pool.
-        assert not pool.ensure_started(shards)
+        assert not pool.ensure_started()
         assert pool.failed
-        assert not pool.ensure_started(shards)  # stays failed
+        assert not pool.ensure_started()  # stays failed
     finally:
         pool.shutdown()
 
 
 def test_tick_deadline_kills_wedged_worker():
-    class _StuckPlane:
-        def install(self, delta):
-            time.sleep(30.0)
-
     pool = ShardPool(1, tick_deadline_s=0.3)
-    shards = {"h0": _shard(_StuckPlane())}
     try:
-        assert pool.ensure_started(shards)
+        assert pool.ensure_started()
         t0 = time.monotonic()
-        assert pool.compute({0: [_ticket("h0")]}) == {}
+        assert pool.compute({0: [_ticket("h0", config=_WedgedConfig())]}) == {}
         assert time.monotonic() - t0 < 10.0  # gave up at the deadline
         assert pool.worker_deaths == 1
     finally:
@@ -91,17 +89,15 @@ def test_tick_deadline_kills_wedged_worker():
 
 def test_sigkilled_worker_detected_by_dead_pipe():
     pool = ShardPool(1, heartbeat_grace_s=0.2)
-    shards = {"h0": _shard()}
     try:
-        assert pool.ensure_started(shards)
+        assert pool.ensure_started()
         proc = pool._slots[0].proc
         os.kill(proc.pid, signal.SIGKILL)
         proc.join(timeout=5.0)
         assert pool.compute({0: [_ticket("h0")]}) == {}
         assert pool.worker_deaths == 1
-        # The replacement fork picks up a fresh membership snapshot.
-        assert pool.ensure_started({"h0": _shard(), "h1": _shard()})
-        assert set(pool.marks(0)) == {"h0", "h1"}
+        assert pool.ensure_started()
+        assert pool._slots[0].proc.is_alive()
     finally:
         pool.shutdown()
 
@@ -110,15 +106,14 @@ def test_sigstopped_worker_detected_by_stale_heartbeat():
     """A frozen worker keeps its pipe open (no EOF), so only its stale
     heartbeat gives it away — long before the tick deadline."""
     pool = ShardPool(1, heartbeat_grace_s=0.3, tick_deadline_s=30.0)
-    shards = {"h0": _shard()}
     try:
-        assert pool.ensure_started(shards)
+        assert pool.ensure_started()
         os.kill(pool._slots[0].proc.pid, signal.SIGSTOP)
         t0 = time.monotonic()
         assert pool.compute({0: [_ticket("h0")]}) == {}
         assert time.monotonic() - t0 < 5.0
         assert pool.worker_deaths == 1
-        assert pool.ensure_started(shards)  # the respawn succeeds
+        assert pool.ensure_started()  # the respawn succeeds
         assert pool._slots[0].proc.is_alive()
     finally:
         pool.shutdown()

@@ -10,6 +10,7 @@ gated in strict (same-machine) comparisons.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Callable, Dict, Tuple
 
@@ -605,9 +606,111 @@ def bench_dataplane(repeat: int = 3) -> Dict[str, float]:
     }
 
 
+def _make_scheduler_world():
+    """A fair-policy MapReduce and Spark pair, mid-run: 40 active jobs.
+
+    24 MapReduce jobs (2–20 maps each) on 12 worker VMs and 16 Spark
+    applications (2–16 partitions) on 8 more are submitted and given one
+    heartbeat, which fills every slot; then every other running attempt
+    is reaped as its executor would, freeing 20 slots among jobs with
+    unequal running counts.  Identical construction yields identical
+    worlds, so two of them pick in lockstep.
+    """
+    import dataclasses
+
+    from repro.frameworks.hdfs import HdfsCluster
+    from repro.frameworks.mapreduce.jobtracker import JobTracker
+    from repro.frameworks.spark.driver import SparkScheduler
+    from repro.virt.cluster import Cluster
+    from repro.virt.vm import Priority
+    from repro.workloads.datagen import sparkbench_synthetic, teragen
+    from repro.workloads.puma import terasort
+    from repro.workloads.sparkbench import logistic_regression
+
+    sim = Simulator(dt=1.0, seed=5)
+    cluster = Cluster(sim)
+    cluster.add_host("h0")
+    vms = [
+        cluster.boot_vm(f"w{i:02d}", "h0", priority=Priority.HIGH, app_id="app")
+        for i in range(20)
+    ]
+    hdfs = HdfsCluster([vm.name for vm in vms], sim.rng.stream("hdfs"))
+    mr = JobTracker(sim, vms[:12], hdfs, policy="fair")
+    spark = SparkScheduler(sim, vms[12:], hdfs, policy="fair")
+    for i in range(24):
+        mr.submit(terasort(), teragen(128.0 * (1 + i % 10)), 2)
+    spec = dataclasses.replace(logistic_regression(), iterations=2)
+    for i in range(16):
+        spark.submit(spec, sparkbench_synthetic(f"lr{i}", 128.0 * (1 + i % 8)))
+    for sched in (mr, spark):
+        sched.heartbeat()
+        for vm in sorted(sched.executors):
+            executor = sched.executors[vm]
+            attempt = executor.running[0]
+            executor.running.remove(attempt)
+            executor.on_attempt_done(attempt)
+    return mr, spark
+
+
+def _slot_picks(scheds) -> list:
+    """Every occupied slot's task id, executors by VM, slots in order."""
+    return [
+        a.task.id
+        for sched in scheds
+        for vm in sorted(sched.executors)
+        for a in sched.executors[vm].running
+    ]
+
+
+def bench_scheduler(repeat: int = 3) -> Dict[str, float]:
+    """One fair-policy heartbeat of each framework over 40 active jobs,
+    against the per-slot task scans it replaced
+    (:func:`naive.naive_fill_slots`).
+
+    Refuses to time when the two fill the freed slots with different
+    tasks.  Every timed heartbeat runs on a fresh world built
+    beforehand, so set-up is outside the clock.
+    """
+    fast, slow = _make_scheduler_world(), _make_scheduler_world()
+    for sched in fast:
+        sched.heartbeat()
+    for sched in slow:
+        naive.naive_fill_slots(sched)
+    if _slot_picks(fast) != _slot_picks(slow):
+        raise AssertionError(
+            "fair-policy heartbeat picked different tasks than the naive scan"
+        )
+
+    def timed(pair, fill) -> float:
+        t0 = time.perf_counter()
+        for sched in pair:
+            fill(sched)
+        return time.perf_counter() - t0
+
+    # Each naive fill runs right after a fast one on a twin world, and
+    # the speedup is the median of those paired ratios, so a shift in
+    # machine speed between the two sides cannot swing it.
+    fast_s, naive_s = [], []
+    for _ in range(max(1, repeat)):
+        built = [(_make_scheduler_world(), _make_scheduler_world())
+                 for _ in range(8)]
+        gc.collect()
+        for fast, slow in built:
+            fast_s.append(timed(fast, lambda sched: sched.heartbeat()))
+            naive_s.append(timed(slow, naive.naive_fill_slots))
+    return {
+        "scheduler.pair_heartbeat_us": min(fast_s) * 1e6,
+        "scheduler.naive_pair_heartbeat_us": min(naive_s) * 1e6,
+        "scheduler.speedup_vs_naive": float(
+            np.median(np.asarray(naive_s) / np.asarray(fast_s))
+        ),
+    }
+
+
 #: name -> benchmark callable(repeat) returning {metric: value}.
 MICRO_BENCHMARKS = {
     "dataplane": bench_dataplane,
+    "scheduler": bench_scheduler,
     "timeseries": bench_timeseries_lookup,
     "identifier": bench_identifier,
     "plane": bench_plane,

@@ -10,6 +10,11 @@ each interval.  They serve two purposes:
   them over randomized sample streams (they are the behavioral oracle);
 * the **micro benchmarks** measure the speedup of the optimized paths
   relative to them, a machine-independent ratio the CI gate can check.
+
+The framework-scheduling oracles (``naive_running_count`` through
+``naive_fill_slots``) are the task scans the schedulers ran before
+:class:`~repro.frameworks.jobs.Job` kept its running-attempt count,
+per-phase index and per-phase completed counts.
 """
 
 from __future__ import annotations
@@ -26,8 +31,14 @@ __all__ = [
     "NaiveTimeSeries",
     "naive_aligned_pearson",
     "naive_fabric_allocate",
+    "naive_fill_slots",
     "naive_history_ingest",
+    "naive_maps_done",
+    "naive_pending_tasks",
+    "naive_pick_pending",
     "naive_rolling_tail_stats",
+    "naive_running_count",
+    "naive_stage_done",
 ]
 
 _LOOPBACK_BPS = 40e9  # intra-host copies: effectively memory bandwidth
@@ -228,3 +239,94 @@ def naive_rolling_tail_stats(values: List[float], window: int) -> Tuple[float, f
     mean = float(tail.mean())
     std = float(tail.std()) if tail.size >= 2 else 0.0
     return mean, std
+
+
+def naive_running_count(job) -> int:
+    """Live attempts of ``job``, counted by listing every task's."""
+    return sum(len(t.running_attempts) for t in job.tasks)
+
+
+def _naive_phase(job, kind: str) -> list:
+    return [t for t in job.tasks if t.kind == kind]
+
+
+def _naive_phase_done(job, kind: str) -> bool:
+    tasks = _naive_phase(job, kind)
+    return bool(tasks) and all(t.completed for t in tasks)
+
+
+def naive_maps_done(job) -> bool:
+    """``MapReduceJob.maps_done`` as a scan of the map tasks."""
+    return _naive_phase_done(job, "map")
+
+
+def naive_stage_done(app, stage: int) -> bool:
+    """``SparkApplication.stage_done`` as a scan of the stage's tasks."""
+    return _naive_phase_done(app, f"stage{stage}")
+
+
+def naive_pending_tasks(scheduler, job) -> list:
+    """``pending_tasks`` of a JobTracker or SparkScheduler, by scans.
+
+    Like the production hook it advances the job's barrier through the
+    scheduler's own ``_create_reduces`` / ``_create_stage``, so calling
+    either one first leaves the same state.
+    """
+    from repro.frameworks.mapreduce.jobtracker import MapReduceJob
+
+    if isinstance(job, MapReduceJob):
+        if not naive_maps_done(job):
+            kind = "map"
+        else:
+            if job.num_reducers > 0 and not job.reduces_created:
+                scheduler._create_reduces(job)
+            kind = "reduce"
+    else:
+        while (
+            job.current_stage < job.total_stages - 1
+            and naive_stage_done(job, job.current_stage)
+        ):
+            job.current_stage += 1
+            scheduler._create_stage(job, job.current_stage)
+        kind = f"stage{job.current_stage}"
+    return [t for t in _naive_phase(job, kind) if t.state.value == "pending"]
+
+
+def naive_pick_pending(scheduler, jobs: list, vm_name: str):
+    """One slot's pick: jobs re-sorted by a full running-attempt scan,
+    then each job's pending list rebuilt until a local task turns up."""
+    if scheduler.policy == "fair":
+        order = {job.id: i for i, job in enumerate(jobs)}
+        jobs = sorted(
+            jobs, key=lambda j: (naive_running_count(j), order[j.id])
+        )
+    fallback = None
+    for job in jobs:
+        for task in naive_pending_tasks(scheduler, job):
+            if vm_name in task.preferred_vms:
+                return task
+            if fallback is None:
+                fallback = task
+    return fallback
+
+
+def naive_fill_slots(scheduler) -> None:
+    """The slot-filling half of ``FrameworkScheduler.heartbeat`` with
+    every pick made by :func:`naive_pick_pending` (no speculation)."""
+    from repro.frameworks.jobs import JobState
+
+    active = [
+        j for j in scheduler.jobs
+        if j.state in (JobState.PENDING, JobState.RUNNING)
+    ]
+    if not active:
+        return
+    for job in active:
+        job.mark_running(scheduler.sim.now)
+    for vm_name in sorted(scheduler.executors):
+        executor = scheduler.executors[vm_name]
+        while executor.free_slots > 0:
+            task = naive_pick_pending(scheduler, active, vm_name)
+            if task is None:
+                break
+            scheduler._launch(task, vm_name, speculative=False)

@@ -19,6 +19,22 @@ attempt's runtime is charged to the :class:`UtilizationLedger`, which is
 exactly the paper's resource-utilization-efficiency metric: the ratio of
 successful task execution time to all task execution time including
 killed tasks (§IV-C, Fig. 11c).
+
+Scheduling state
+----------------
+The schedulers ask three questions on every free slot: how many attempts
+a job has running (fair ordering), whether a phase has finished (the
+map/reduce and stage barriers), and which of the current phase's tasks
+are pending.  A :class:`Job` answers them from counters kept by the
+lifecycle itself rather than by rescanning its tasks:
+
+* ``Job.running_count`` — +1 when a :class:`TaskAttempt` is created,
+  −1 when it finishes or is killed (the only state changes an attempt
+  has; ``kill`` is idempotent);
+* ``Job.completed_by_kind`` — +1 per phase when a task completes;
+* a per-phase task index filled by :meth:`Job.add_task`.
+
+The scan-based answers live in :mod:`repro.bench.naive` as oracles.
 """
 
 from __future__ import annotations
@@ -134,6 +150,7 @@ class TaskAttempt:
     ) -> None:
         self.id = _attempt_id(task.id, len(task.attempts))
         self.task = task
+        task.job.running_count += 1
         self.vm_name = vm_name
         self.start_time = start_time
         self.end_time: Optional[float] = None
@@ -237,6 +254,7 @@ class TaskAttempt:
         """Mark the attempt successful at ``now``."""
         if not self.running:
             raise RuntimeError(f"finish() on non-running attempt {self.id}")
+        self.task.job.running_count -= 1
         self.state = TaskState.SUCCEEDED
         self.end_time = now
 
@@ -244,6 +262,7 @@ class TaskAttempt:
         """Terminate a running attempt (idempotent on finished ones)."""
         if not self.running:
             return
+        self.task.job.running_count -= 1
         self.state = TaskState.KILLED
         self.end_time = now
 
@@ -309,6 +328,8 @@ class Task:
     def complete_with(self, attempt: TaskAttempt, now: float) -> List[TaskAttempt]:
         """Mark the winning attempt; return the losers (killed)."""
         attempt.finish(now)
+        done = self.job.completed_by_kind
+        done[self.kind] = done.get(self.kind, 0) + 1
         self.state = TaskState.SUCCEEDED
         self.finish_time = now
         self.output_vm = attempt.vm_name
@@ -356,14 +377,32 @@ class Job:
         self.tasks: List[Task] = []
         #: For Dolly clones: id of the logical job this duplicates.
         self.clone_of = clone_of
+        #: Attempts of this job's tasks currently executing.
+        self.running_count = 0
+        #: Completed tasks per phase.
+        self.completed_by_kind: Dict[str, int] = {}
+        self._tasks_by_kind: Dict[str, List[Task]] = {}
 
     def add_task(self, task: Task) -> None:
         """Register a task with the job."""
         self.tasks.append(task)
+        self._tasks_by_kind.setdefault(task.kind, []).append(task)
 
     def tasks_of_kind(self, kind: str) -> List[Task]:
         """Tasks of one phase (\"map\", \"reduce\", \"stage3\"...)."""
-        return [t for t in self.tasks if t.kind == kind]
+        return list(self._tasks_by_kind.get(kind, ()))
+
+    def phase_done(self, kind: str) -> bool:
+        """Whether a phase has tasks and every one of them has completed."""
+        n = len(self._tasks_by_kind.get(kind, ()))
+        return n > 0 and self.completed_by_kind.get(kind, 0) == n
+
+    def pending_of_kind(self, kind: str) -> List[Task]:
+        """Unassigned tasks of one phase, in submission order."""
+        return [
+            t for t in self._tasks_by_kind.get(kind, ())
+            if t.state is TaskState.PENDING
+        ]
 
     @property
     def completion_time(self) -> Optional[float]:

@@ -73,8 +73,7 @@ class MapReduceJob(Job):
     @property
     def maps_done(self) -> bool:
         """Whether every map task has completed."""
-        maps = self.maps
-        return bool(maps) and all(t.completed for t in maps)
+        return self.phase_done("map")
 
 
 class JobTracker(FrameworkScheduler):
@@ -153,10 +152,10 @@ class JobTracker(FrameworkScheduler):
         """Runnable tasks: maps until done, then (lazily built) reduces."""
         assert isinstance(job, MapReduceJob)
         if not job.maps_done:
-            return [t for t in job.maps if t.state.value == "pending"]
+            return job.pending_of_kind("map")
         if job.num_reducers > 0 and not job.reduces_created:
             self._create_reduces(job)
-        return [t for t in job.reduces if t.state.value == "pending"]
+        return job.pending_of_kind("reduce")
 
     def prepare_attempt(self, attempt: TaskAttempt) -> None:
         """Charge a remote read to non-local map attempts."""
@@ -185,7 +184,7 @@ class JobTracker(FrameworkScheduler):
             return False
         if job.num_reducers == 0:
             return True
-        return job.reduces_created and all(t.completed for t in job.reduces)
+        return job.reduces_created and job.phase_done("reduce")
 
     # -------------------------------------------------------------- internals
     def _create_reduces(self, job: MapReduceJob) -> None:

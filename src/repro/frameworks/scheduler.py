@@ -11,6 +11,7 @@ framework subclasses define how jobs expand into tasks and phases.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable, Dict, List, Optional
 
 from repro.frameworks.executor import ExecutorDriver
@@ -25,6 +26,8 @@ from repro.frameworks.speculation import NoSpeculation, SpeculationPolicy
 from repro.sim.engine import Simulator
 
 __all__ = ["FrameworkScheduler"]
+
+_running_count = operator.attrgetter("running_count")
 
 
 class FrameworkScheduler:
@@ -118,14 +121,10 @@ class FrameworkScheduler:
     def _job_order(self, jobs: List[Job]) -> List[Job]:
         if self.policy == "fifo":
             return jobs
-        # Fair: fewest running tasks first (deficit ordering); FIFO breaks
-        # ties so the discipline stays deterministic.
-        order = {job.id: i for i, job in enumerate(jobs)}
-
-        def running_count(job: Job) -> int:
-            return sum(len(t.running_attempts) for t in job.tasks)
-
-        return sorted(jobs, key=lambda j: (running_count(j), order[j.id]))
+        # Fair: fewest running attempts first (deficit ordering).  The
+        # sort is stable, so FIFO breaks ties and the discipline stays
+        # deterministic.
+        return sorted(jobs, key=_running_count)
 
     def _pick_pending(self, jobs: List[Job], vm_name: str) -> Optional[Task]:
         fallback: Optional[Task] = None
@@ -143,6 +142,9 @@ class FrameworkScheduler:
             return
         candidates: List[Task] = []
         for job in jobs:
+            # Exact: a task with a live attempt implies a positive count.
+            if not job.running_count:
+                continue
             for task in job.tasks:
                 if not task.completed and task.running_attempts:
                     candidates.append(task)

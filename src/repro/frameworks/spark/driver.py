@@ -76,8 +76,7 @@ class SparkApplication(Job):
 
     def stage_done(self, stage: int) -> bool:
         """Whether a stage has been built and fully completed."""
-        tasks = self.stage_tasks(stage)
-        return bool(tasks) and all(t.completed for t in tasks)
+        return self.phase_done(f"stage{stage}")
 
 
 class SparkScheduler(FrameworkScheduler):
@@ -155,11 +154,7 @@ class SparkScheduler(FrameworkScheduler):
         ):
             job.current_stage += 1
             self._create_stage(job, job.current_stage)
-        return [
-            t
-            for t in job.stage_tasks(job.current_stage)
-            if t.state.value == "pending"
-        ]
+        return job.pending_of_kind(f"stage{job.current_stage}")
 
     def prepare_attempt(self, attempt: TaskAttempt) -> None:
         """Charge remote partition fetch to non-cache-local attempts."""

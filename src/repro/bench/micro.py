@@ -42,6 +42,26 @@ def _best_of(fn: Callable[[], int], repeat: int) -> Tuple[float, int]:
     return best, max(1, units)
 
 
+def _paired(run_fast: Callable[[], int], run_naive: Callable[[], int],
+            pairs: int) -> Tuple[float, float, float]:
+    """Time ``pairs`` fast/naive pairs back to back in this process.
+
+    Returns (best fast seconds per unit, best naive seconds per unit,
+    median of the per-pair naive/fast ratios).  Pairs alternate which
+    side runs first, and the ratio is taken within each pair, so a drift
+    in machine speed between pairs cannot swing the speedup.
+    """
+    fast, slow = [], []
+    for i in range(pairs):
+        sides = [(fast, run_fast), (slow, run_naive)]
+        for sink, fn in sides if i % 2 == 0 else sides[::-1]:
+            t0 = time.perf_counter()
+            units = fn()
+            sink.append((time.perf_counter() - t0) / max(1, units))
+    ratios = np.asarray(slow) / np.asarray(fast)
+    return min(fast), min(slow), float(np.median(ratios))
+
+
 def _synth_series(make, n: int, seed: int, name: str = ""):
     """A series of ``n`` samples at the monitor cadence with noisy values."""
     rng = np.random.default_rng(seed)
@@ -65,16 +85,17 @@ def bench_timeseries_lookup(repeat: int = 3) -> Dict[str, float]:
         return calls
 
     def run_naive() -> int:
-        for _ in range(calls):
+        # ~20x slower per call: a tenth of the calls keeps the two sides
+        # of a pair about equally long.
+        for _ in range(calls // 10):
             slow.resampled_at(grid, missing=0.0)
-        return calls
+        return calls // 10
 
-    t_fast, units = _best_of(run_fast, repeat)
-    t_naive, _ = _best_of(run_naive, max(1, repeat - 2))
+    s_fast, _, speedup = _paired(run_fast, run_naive, 2 * repeat + 5)
     return {
-        "timeseries.resample_ops_per_s": units / t_fast,
-        "timeseries.resample_us_per_call": t_fast / units * 1e6,
-        "timeseries.speedup_vs_naive": t_naive / t_fast,
+        "timeseries.resample_ops_per_s": 1.0 / s_fast,
+        "timeseries.resample_us_per_call": s_fast * 1e6,
+        "timeseries.speedup_vs_naive": speedup,
     }
 
 
@@ -153,14 +174,11 @@ def bench_identifier(repeat: int = 3) -> Dict[str, float]:
                     f"{fast_scores[vm]!r} vs {r!r}"
                 )
 
-    t_fast, u_fast = _best_of(run_fast, repeat)
-    t_naive, u_naive = _best_of(run_naive, max(1, repeat - 2))
-    us_fast = t_fast / u_fast * 1e6
-    us_naive = t_naive / u_naive * 1e6
+    s_fast, s_naive, speedup = _paired(run_fast, run_naive, 2 * repeat + 5)
     return {
-        "identifier.us_per_interval": us_fast,
-        "identifier.naive_us_per_interval": us_naive,
-        "identifier.speedup_vs_naive": us_naive / us_fast,
+        "identifier.us_per_interval": s_fast * 1e6,
+        "identifier.naive_us_per_interval": s_naive * 1e6,
+        "identifier.speedup_vs_naive": speedup,
     }
 
 

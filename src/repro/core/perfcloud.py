@@ -57,10 +57,11 @@ class PerfCloud:
         self.resilience = resilience
         # A fault injector draws from per-call fault streams, so the
         # phase-A/phase-C call reordering of a parallel tick would shift
-        # its draws relative to the serial schedule; chaos runs therefore
-        # force the (byte-identical) serial path.
-        if fault_injector is not None:
-            shard_workers = 0
+        # its draws relative to the serial schedule: chaos runs step
+        # in-process only.
+        if fault_injector is not None and shard_workers > 0:
+            raise ValueError("a fault injector requires shard_workers=0 "
+                             "(pooled ticks reorder its per-call draws)")
         #: Compute-half processes per coordinator tick (0 = in-process).
         self.shard_workers = int(shard_workers)
         #: One coordinator tick steps every agent as an independent shard

@@ -15,8 +15,8 @@ between a serial interval and an absorbed pool verdict — the
 :class:`~repro.core.verdict.ControlVerdict` values, the judged
 antagonist sets the parent derives from them, and the node manager's
 ``actions``/ladder state (actuation always runs parent-side).  It never
-reads wall-clock spans.  A run with ``shard_workers=N`` therefore
-produces a byte-identical ledger to a serial run (Hypothesis-enforced in
+reads wall-clock spans.  A ``PerfCloud(shard_workers=N)`` deployment
+therefore produces a byte-identical ledger to a serial run (Hypothesis-enforced in
 ``tests/property/test_obs_ledger_equivalence.py``).
 
 Keying: incidents are identified as ``{host}/{app_id}/{resource}#{seq}``

@@ -15,10 +15,11 @@ hot path:
   wall-clock duration is measurement-only and never feeds back into the
   simulation (telemetry must not perturb figure outputs).
 
-Under ``shard_workers=N`` the compute-half spans are measured *inside*
-:func:`repro.core.verdict.compute_verdict` on whichever side ran it and
-carried home on the verdict pipe, so the recorder itself always lives in
-the parent and sees an identical span stream shape either way.
+Under ``PerfCloud(shard_workers=N)`` the compute-half spans are
+measured *inside* :func:`repro.core.verdict.compute_verdict` on
+whichever side ran it and carried home on the verdict pipe, so the
+recorder itself always lives in the parent and sees an identical span
+stream shape either way.
 """
 
 from __future__ import annotations

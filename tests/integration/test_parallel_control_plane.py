@@ -20,6 +20,7 @@ import pytest
 from repro.core import shardpool
 from repro.core.config import PerfCloudConfig
 from repro.core.node_manager import NodeManager
+from repro.core.perfcloud import PerfCloud
 from repro.core.verdict import compute_verdict
 from repro.experiments.harness import TestbedConfig, build_testbed
 from repro.obs.exposition import snapshot
@@ -61,7 +62,7 @@ def test_ticket_free_ticks_skip_quiet_hosts_and_change_nothing():
 
     def outcome(shard_workers, ticket_free):
         bed = _build(seed=5)
-        pc = bed.deploy_perfcloud(shard_workers=shard_workers)
+        pc = PerfCloud(bed.sim, bed.cloud, shard_workers=shard_workers)
         pc.control_plane.ticket_free = ticket_free
         job = bed.jobtracker.submit(terasort(), teragen(320), num_reducers=4)
         run_until(bed.sim, lambda: job.completion_time is not None,
@@ -93,7 +94,7 @@ def test_worker_sigkill_midrun_stays_byte_identical():
     serial_pc.close()
 
     bed = _build()
-    pc = bed.deploy_perfcloud(shard_workers=2)
+    pc = PerfCloud(bed.sim, bed.cloud, shard_workers=2)
     # This world is quiet (no job → no deviation), so ticket-free ticks
     # would route everything parent-side and the pool would never see a
     # ticket; the drill is specifically about losing a worker mid-ship,
@@ -141,7 +142,7 @@ def test_failed_worker_tickets_count_as_fallbacks(fault, monkeypatch):
         # Workers fork lazily at the first parallel tick and inherit it.
         monkeypatch.setattr(shardpool, "compute_shipped", _raise)
     bed = _build()
-    pc = bed.deploy_perfcloud(shard_workers=2)
+    pc = PerfCloud(bed.sim, bed.cloud, shard_workers=2)
     pc.control_plane.ticket_free = False
     pool = pc.control_plane._pool = shardpool.ShardPool(
         2, heartbeat_grace_s=0.3)
@@ -236,8 +237,8 @@ def test_stateless_tickets_match_live_compute(monkeypatch):
     # Retention prunes, yet outlasts the 8-instant victim grid (35 s), so
     # a ticket missing the usage samples at the grid's first instant
     # changes scores.
-    pc = bed.deploy_perfcloud(PerfCloudConfig(history_retention_s=60.0),
-                              shard_workers=2)
+    pc = PerfCloud(bed.sim, bed.cloud,
+                   PerfCloudConfig(history_retention_s=60.0), shard_workers=2)
     pool = pc.control_plane._pool = _OraclePool(contexts)
     bed.sim.schedule_at(102.5, lambda: bed.cloud.delete("stream-2"))
     job = bed.jobtracker.submit(terasort(), teragen(960), num_reducers=4)

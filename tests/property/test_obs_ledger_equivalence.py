@@ -17,6 +17,7 @@ from repro.obs import Telemetry
 
 
 def _ledger_outcome(seed, num_hosts, antagonists, shard_workers):
+    from repro.core.perfcloud import PerfCloud
     from repro.experiments.harness import TestbedConfig, build_testbed, run_until
 
     telemetry = Telemetry(ledger=True, spans=False)
@@ -25,8 +26,8 @@ def _ledger_outcome(seed, num_hosts, antagonists, shard_workers):
                       num_workers=3 * num_hosts, framework="mapreduce",
                       antagonists=antagonists)
     )
-    pc = testbed.deploy_perfcloud(shard_workers=shard_workers,
-                                  telemetry=telemetry)
+    pc = PerfCloud(testbed.sim, testbed.cloud, shard_workers=shard_workers,
+                   telemetry=telemetry)
     job = testbed.jobtracker.submit(terasort(), teragen(320), num_reducers=4)
     run_until(testbed.sim, lambda: job.completion_time is not None,
               horizon=2000)

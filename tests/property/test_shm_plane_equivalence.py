@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 # ------------------------------------------------------- parallel ticks
 
 def _world_outcome(seed, num_hosts, antagonists, shard_workers):
+    from repro.core.perfcloud import PerfCloud
     from repro.experiments.harness import TestbedConfig, build_testbed
 
     testbed = build_testbed(
@@ -20,7 +21,7 @@ def _world_outcome(seed, num_hosts, antagonists, shard_workers):
                       num_workers=2 * num_hosts, framework="mapreduce",
                       antagonists=antagonists)
     )
-    pc = testbed.deploy_perfcloud(shard_workers=shard_workers)
+    pc = PerfCloud(testbed.sim, testbed.cloud, shard_workers=shard_workers)
     testbed.run(220.0)
     out = []
     for host in sorted(pc.node_managers):

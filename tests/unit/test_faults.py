@@ -54,6 +54,20 @@ def test_crash_event_validation():
         CrashEvent(vm="fio", at_s=10.0, restart_after_s=0.0)
 
 
+def test_injector_rejects_a_shard_pool():
+    """Pooled ticks reorder per-call fault draws, so the combination is
+    an error rather than a silent fallback to the serial path."""
+    from repro.core.perfcloud import PerfCloud
+
+    sim, cluster, cloud, _ = make_world()
+    injector = FaultInjector(sim, FaultPlan(call_failure_p=0.1),
+                             cluster=cluster)
+    with pytest.raises(ValueError, match="shard_workers=0"):
+        PerfCloud(sim, cloud, fault_injector=injector, shard_workers=2)
+    with PerfCloud(sim, cloud, fault_injector=injector) as pc:
+        assert pc.shard_workers == 0
+
+
 def test_plan_overrides_and_targeting():
     plan = FaultPlan(call_failure_p=0.2, actuation_failure_p=0.5,
                      vms=("fio",))
